@@ -21,28 +21,51 @@ let fault_message = function
   | Stack_underflow -> "stack underflow"
   | Bad_operand what -> "bad operand: " ^ what
 
-(* Per-execution context. Everything that varies between executions of
-   the same program — the switch, the packet, its memory layout — flows
+(* Execution context. Everything that varies between executions of the
+   same program — the packet, its memory layout, the clock — flows
    through here, which is what lets one compiled program serve every TPP
-   with the same instruction bytes.
+   with the same instruction bytes. A context is bound to one switch
+   state and reused for every execution on it: [run] overwrites the
+   per-packet fields in place, so a hop allocates no context.
 
    Faults are signalled without allocating: a micro-op that faults
    records the fault as two ints ([f_kind]/[f_detail]) and the [fault]
-   value is only constructed on the (rare) faulting exit. [f_kind] is -1
-   while no fault has occurred; since execution stops at the first
-   fault, the field transitions at most once per run. *)
+   value is only constructed when a caller asks for it ({!fault}).
+   [f_kind] is reset to -1 at the start of every run; since execution
+   stops at the first fault, the field transitions at most once per
+   run, and it keeps the run's fault until the next run starts. *)
 type ectx = {
   state : State.t;
-  meta : Meta.t;
-  tpp : Tpp.t;
-  memory : bytes;  (* backing buffer of packet memory *)
-  mem_off : int;   (* window start: flat frames alias the wire image *)
-  now : int;
-  mem_len : int;
-  hop_base : int;  (* base + hop * perhop_len, fixed for the whole run *)
+  mutable meta : Meta.t;
+  mutable tpp : Tpp.t;
+  mutable memory : bytes;  (* backing buffer of packet memory *)
+  mutable mem_off : int;   (* window start: flat frames alias the wire image *)
+  mutable now : int;
+  mutable mem_len : int;
+  mutable hop_base : int;  (* base + hop * perhop_len, fixed for the whole run *)
   mutable f_kind : int;
   mutable f_detail : int;
 }
+
+(* Placeholders a fresh context points at until its first run. *)
+let no_meta = Meta.create ()
+let no_tpp = Tpp.make ~program:[] ~mem_len:0 ()
+
+let context state =
+  {
+    state;
+    meta = no_meta;
+    tpp = no_tpp;
+    memory = Bytes.empty;
+    mem_off = 0;
+    now = 0;
+    mem_len = 0;
+    hop_base = 0;
+    f_kind = -1;
+    f_detail = 0;
+  }
+
+let state c = c.state
 
 (* Encoded fault kinds (values of [f_kind]). *)
 let k_packet_oob = 0
@@ -55,7 +78,7 @@ let k_bad_address = 6
 let k_read_only = 7
 let k_port_oor = 8
 
-let fault_of c =
+let fault c =
   match c.f_kind with
   | 0 -> Packet_oob c.f_detail
   | 1 -> Misaligned c.f_detail
@@ -66,6 +89,36 @@ let fault_of c =
   | 6 -> Mmu_fault (Mmu.Bad_address c.f_detail)
   | 7 -> Mmu_fault (Mmu.Read_only c.f_detail)
   | _ -> Mmu_fault (Mmu.Port_out_of_range c.f_detail)
+
+(* The inverse of [fault], for a fault raised outside compiled code (the
+   interpreter). [Bad_operand]'s message is the only one either backend
+   produces, so the round trip is exact. *)
+let set_fault c f =
+  let kind, detail =
+    match f with
+    | Packet_oob off -> (k_packet_oob, off)
+    | Misaligned off -> (k_misaligned, off)
+    | Immediate_write -> (k_immediate_write, 0)
+    | Stack_overflow -> (k_stack_overflow, 0)
+    | Stack_underflow -> (k_stack_underflow, 0)
+    | Bad_operand _ -> (k_bad_operand, 0)
+    | Mmu_fault (Mmu.Bad_address a) -> (k_bad_address, a)
+    | Mmu_fault (Mmu.Read_only a) -> (k_read_only, a)
+    | Mmu_fault (Mmu.Port_out_of_range p) -> (k_port_oor, p)
+  in
+  c.f_kind <- kind;
+  c.f_detail <- detail
+
+(* Packed outcome of a run: the executed-instruction count above two
+   bits saying how the run stopped. An int, so returning it allocates
+   nothing. *)
+let stop_end = 0    (* ran off the end, or HALT *)
+let stop_cexec = 1  (* a failed CEXEC check skipped the rest *)
+let stop_fault = 2
+
+let[@inline] pack executed stop = (executed lsl 2) lor stop
+let[@inline] executed p = p lsr 2
+let[@inline] stop p = p land 3
 
 (* Micro-op status codes. *)
 let st_continue = 0
@@ -514,34 +567,29 @@ let compile_instr (instr : Instr.t) : uop =
 let compile (program : Instr.t array) : t =
   { uops = Array.map compile_instr program }
 
-let run t state ~now ~(tpp : Tpp.t) ~(meta : Meta.t) =
-  let c =
-    {
-      state;
-      meta;
-      tpp;
-      memory = tpp.Tpp.memory;
-      mem_off = tpp.Tpp.mem_off;
-      now;
-      mem_len = tpp.Tpp.mem_len;
-      hop_base = tpp.Tpp.base + (tpp.Tpp.hop * tpp.Tpp.perhop_len);
-      f_kind = -1;
-      f_detail = 0;
-    }
-  in
-  let uops = t.uops in
-  let len = Array.length uops in
-  let rec go i =
-    if i >= len then (i, false, None)
-    else begin
-      let st = (Array.unsafe_get uops i) c in
-      if st = st_continue then go (i + 1)
-      else if st = st_halt then (i + 1, false, None)
-      else if st = st_cexec then (i + 1, true, None)
-      else (i + 1, false, Some (fault_of c))
-    end
-  in
-  go 0
+(* The micro-op loop: a top-level function, so a run allocates no
+   closure. *)
+let rec loop uops len c i =
+  if i >= len then pack i stop_end
+  else begin
+    let st = (Array.unsafe_get uops i) c in
+    if st = st_continue then loop uops len c (i + 1)
+    else if st = st_halt then pack (i + 1) stop_end
+    else if st = st_cexec then pack (i + 1) stop_cexec
+    else pack (i + 1) stop_fault
+  end
+
+let run t c ~now ~(tpp : Tpp.t) ~meta =
+  c.meta <- meta;
+  c.tpp <- tpp;
+  c.memory <- tpp.Tpp.memory;
+  c.mem_off <- tpp.Tpp.mem_off;
+  c.now <- now;
+  c.mem_len <- tpp.Tpp.mem_len;
+  c.hop_base <- tpp.Tpp.base + (tpp.Tpp.hop * tpp.Tpp.perhop_len);
+  c.f_kind <- -1;
+  c.f_detail <- 0;
+  loop t.uops (Array.length t.uops) c 0
 
 (* ---- Process-wide program cache ---------------------------------- *)
 

@@ -47,19 +47,47 @@ val length : t -> int
 val compile : Tpp_isa.Instr.t array -> t
 (** Lowers a program, bypassing the cache (tests use this directly). *)
 
-val run :
-  t ->
-  State.t ->
-  now:int ->
-  tpp:Tpp_isa.Tpp.t ->
-  meta:Tpp_isa.Meta.t ->
-  int * bool * fault option
-(** [run c state ~now ~tpp ~meta] executes the compiled program against
-    [tpp]'s packet memory and the switch state, returning
-    [(executed, stopped_by_cexec, fault)] with the interpreter's exact
-    semantics. Post-processing (hop bump, fault flag, exec/cycle
-    accounting) is the caller's job — {!Tcpu.execute} does it for both
-    backends. *)
+type ectx
+(** A reusable execution context bound to one switch state. {!run}
+    overwrites its per-packet fields in place, so executing through it
+    allocates nothing; the context keeps the last run's fault (as two
+    ints) until the next run. One context must not serve two runs at
+    once: give each switch (or each caller) its own. *)
+
+val context : State.t -> ectx
+val state : ectx -> State.t
+
+val run : t -> ectx -> now:int -> tpp:Tpp_isa.Tpp.t -> meta:Tpp_isa.Meta.t -> int
+(** [run c ctx ~now ~tpp ~meta] executes the compiled program against
+    [tpp]'s packet memory and the context's switch state with the
+    interpreter's exact semantics, and returns the packed outcome (see
+    {!executed} and {!stop}). Post-processing (hop bump, fault flag,
+    exec/cycle accounting) is the caller's job — {!Tcpu} does it for
+    both backends. *)
+
+val executed : int -> int
+(** Instructions a packed outcome ran, a failed CEXEC or the faulting
+    instruction included. *)
+
+val stop : int -> int
+(** How a packed outcome stopped: {!stop_end}, {!stop_cexec} or
+    {!stop_fault}. *)
+
+val stop_end : int
+val stop_cexec : int
+val stop_fault : int
+
+val pack : int -> int -> int
+(** [pack executed stop] builds a packed outcome. *)
+
+val fault : ectx -> fault
+(** The fault of the context's last run; meaningful only when that
+    run's outcome stopped with {!stop_fault}. This is the one place a
+    [fault] value is built. *)
+
+val set_fault : ectx -> fault -> unit
+(** Records a fault raised outside compiled code (the interpreter), so
+    {!fault} returns it. *)
 
 type Tpp_isa.Tpp.compiled += Compiled of t
 (** The constructor {!Tcpu} stores in a TPP's shared compiled-handle

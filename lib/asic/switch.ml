@@ -35,7 +35,14 @@ type t = {
          routed frame): the unicast fast path returns these instead of
          consing a fresh list each hop. *)
   mutable tcpu_enabled : bool;
-  mutable last_tcpu : Tcpu.result option;
+  mutable tcpu_ctx : Tcpu.ctx option;
+      (* [None] until the first TPP reaches this switch; then one
+         execution context reused by every hop, so the TCPU allocates
+         nothing per packet. *)
+  mutable last_tcpu : int;
+      (* Packed outcome of the last TPP execution ([no_tcpu] before
+         the first); its fault, if any, stays in [tcpu_ctx] until the
+         next execution. {!last_tcpu_result} decodes the two. *)
   mutable tap : (now:int -> in_port:int -> out_port:int -> Frame.t -> unit) option;
   mutable bin_tap :
     (now:int -> in_port:int -> out_port:int -> queue_bytes:int ->
@@ -61,6 +68,10 @@ type t = {
 let dscp_classifier (frame : Frame.t) =
   if Frame.has_ip frame then Frame.ip_dscp frame else 0
 
+(* [last_tcpu] before any execution: below every packed outcome,
+   [Tcpu.skipped] included. *)
+let no_tcpu = min_int
+
 let create ~id ~num_ports ?queue_limit ?(tcpu_enabled = true) () =
   let switch_state = State.create ~switch_id:id ~num_ports ?queue_limit () in
   {
@@ -73,7 +84,8 @@ let create ~id ~num_ports ?queue_limit ?(tcpu_enabled = true) () =
     strip_tpp = [||];
     queued_one = [||];
     tcpu_enabled;
-    last_tcpu = None;
+    tcpu_ctx = None;
+    last_tcpu = no_tcpu;
     tap = None;
     bin_tap = None;
     classify_queue = dscp_classifier;
@@ -105,6 +117,11 @@ let[@inline never] materialize_sched t =
 
 let[@inline] sched_array t =
   if Array.length t.sched = 0 then materialize_sched t else t.sched
+
+let[@inline never] materialize_tcpu_ctx t =
+  let c = Tcpu.context t.switch_state in
+  t.tcpu_ctx <- Some c;
+  c
 
 let[@inline never] materialize_queued_one t =
   let q = Array.init (num_ports t) (fun p -> Queued [ p ]) in
@@ -215,8 +232,10 @@ let process_and_enqueue t ~now (frame : Frame.t) ~out_port =
   frame.Frame.meta.Meta.queue_id <- queue_id;
   let sub = port.State.Port.queues.(queue_id) in
   (if t.tcpu_enabled then
-     match Tcpu.execute st ~now ~frame with
-     | Some result -> t.last_tcpu <- Some result
+     match frame.Frame.tpp with
+     | Some tpp ->
+       let ctx = match t.tcpu_ctx with Some c -> c | None -> materialize_tcpu_ctx t in
+       t.last_tcpu <- Tcpu.run ctx ~now ~tpp ~meta:frame.Frame.meta
      | None -> ());
   let wire = Frame.wire_size frame in
   (* Offered load on this link, drops included: what RCP's y(t) measures. *)
@@ -486,4 +505,7 @@ let dequeue t ~port:i =
 let queue_bytes t ~port:i = (State.port t.switch_state i).State.Port.queue_bytes
 let queue_packets t ~port:i = State.Port.total_packets (State.port t.switch_state i)
 
-let last_tcpu_result t = t.last_tcpu
+let last_tcpu_result t =
+  match t.tcpu_ctx with
+  | Some ctx when t.last_tcpu <> no_tcpu -> Some (Tcpu.result ctx t.last_tcpu)
+  | _ -> None

@@ -25,6 +25,7 @@ type backend = Compiled | Interpreter
 let default = Atomic.make Compiled
 let set_default_backend b = Atomic.set default b
 let default_backend () = Atomic.get default
+let backend_or_default = function Some b -> b | None -> Atomic.get default
 
 let pipeline_fill = 4
 let cycles_for n = pipeline_fill + n
@@ -177,42 +178,89 @@ let run_interpreter state ~now ~tpp ~meta =
 (* ---- Compiled backend: link the TPP's shared handle to the cached
    compiled program, compiling on first sight of the bytes. ---- *)
 
-let run_compiled state ~now ~tpp ~meta =
-  let compiled =
-    match Tpp.compiled_handle tpp with
-    | Compile.Compiled c ->
-      (* The template family is already linked: zero lookups. *)
-      state.State.tpp_compile_hits <- state.State.tpp_compile_hits + 1;
-      c
-    | _ ->
-      state.State.tpp_compile_misses <- state.State.tpp_compile_misses + 1;
-      let c = Compile.lookup tpp in
-      Tpp.set_compiled_handle tpp (Compile.Compiled c);
-      c
-  in
-  Compile.run compiled state ~now ~tpp ~meta
+let compiled_for state tpp =
+  match Tpp.compiled_handle tpp with
+  | Compile.Compiled c ->
+    (* The template family is already linked: zero lookups. *)
+    state.State.tpp_compile_hits <- state.State.tpp_compile_hits + 1;
+    c
+  | _ ->
+    state.State.tpp_compile_misses <- state.State.tpp_compile_misses + 1;
+    let c = Compile.lookup tpp in
+    Tpp.set_compiled_handle tpp (Compile.Compiled c);
+    c
+
+(* ---- The core both {!execute} and the switch hot path run ---- *)
+
+type ctx = Compile.ectx
+
+let context = Compile.context
+
+(* Packed outcome of a TPP that had already faulted: inert, nothing ran,
+   nothing was counted. *)
+let skipped = -1
+
+let inert = { executed = 0; cycles = 0; stopped_by_cexec = false; fault = None }
+
+(* What every execution leaves behind besides packet memory and SRAM. *)
+let finish state tpp ~executed ~faulted =
+  tpp.Tpp.hop <- (tpp.Tpp.hop + 1) land 0xFFFF;
+  if faulted then begin
+    tpp.Tpp.faulted <- true;
+    state.State.tpp_faults <- state.State.tpp_faults + 1
+  end;
+  state.State.tpp_execs <- state.State.tpp_execs + 1;
+  state.State.tpp_cycles <- state.State.tpp_cycles + cycles_for executed
+
+let run ?backend c ~now ~tpp ~meta =
+  if tpp.Tpp.faulted then skipped
+  else begin
+    let state = Compile.state c in
+    let packed =
+      match backend_or_default backend with
+      | Compiled -> Compile.run (compiled_for state tpp) c ~now ~tpp ~meta
+      | Interpreter -> (
+        let executed, stopped_by_cexec, fault = run_interpreter state ~now ~tpp ~meta in
+        match fault with
+        | Some f ->
+          Compile.set_fault c f;
+          Compile.pack executed Compile.stop_fault
+        | None ->
+          Compile.pack executed
+            (if stopped_by_cexec then Compile.stop_cexec else Compile.stop_end))
+    in
+    finish state tpp ~executed:(Compile.executed packed)
+      ~faulted:(Compile.stop packed = Compile.stop_fault);
+    packed
+  end
+
+let result c packed =
+  if packed = skipped then inert
+  else begin
+    let executed = Compile.executed packed in
+    let stop = Compile.stop packed in
+    {
+      executed;
+      cycles = cycles_for executed;
+      stopped_by_cexec = stop = Compile.stop_cexec;
+      fault = (if stop = Compile.stop_fault then Some (Compile.fault c) else None);
+    }
+  end
 
 let execute ?backend state ~now ~frame =
   match frame.Frame.tpp with
   | None -> None
-  | Some tpp when tpp.Tpp.faulted ->
-    (* A faulted TPP is inert for the rest of its journey. *)
-    Some { executed = 0; cycles = 0; stopped_by_cexec = false; fault = None }
-  | Some tpp ->
+  | Some tpp when tpp.Tpp.faulted -> Some inert
+  | Some tpp -> (
     let meta = frame.Frame.meta in
-    let backend = match backend with Some b -> b | None -> Atomic.get default in
-    let executed, stopped_by_cexec, fault =
-      match backend with
-      | Compiled -> run_compiled state ~now ~tpp ~meta
-      | Interpreter -> run_interpreter state ~now ~tpp ~meta
-    in
-    tpp.Tpp.hop <- (tpp.Tpp.hop + 1) land 0xFFFF;
-    (match fault with
-    | Some _ ->
-      tpp.Tpp.faulted <- true;
-      state.State.tpp_faults <- state.State.tpp_faults + 1
-    | None -> ());
-    let cycles = cycles_for executed in
-    state.State.tpp_execs <- state.State.tpp_execs + 1;
-    state.State.tpp_cycles <- state.State.tpp_cycles + cycles;
-    Some { executed; cycles; stopped_by_cexec; fault }
+    match backend_or_default backend with
+    | Compiled ->
+      let c = context state in
+      Some (result c (run ~backend:Compiled c ~now ~tpp ~meta))
+    | Interpreter ->
+      (* The oracle builds its result straight from the interpreter,
+         never through the packed outcome compiled runs are decoded
+         from, so the differential tests check that decoding too. *)
+      let executed, stopped_by_cexec, fault = run_interpreter state ~now ~tpp ~meta in
+      finish state tpp ~executed ~faulted:(Option.is_some fault);
+      Some { executed; cycles = cycles_for executed; stopped_by_cexec; fault })

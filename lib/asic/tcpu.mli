@@ -58,6 +58,33 @@ val execute : ?backend:backend -> State.t -> now:int -> frame:Tpp_isa.Frame.t ->
     (TPP already linked to compiled code) or miss in
     {!State.t.tpp_compile_hits} / [tpp_compile_misses]. *)
 
+(** {2 Allocation-free core}
+
+    {!execute} is a thin wrapper over these: the switch's per-hop path
+    calls them directly with a context it owns, keeps the packed
+    outcome as an int and builds a {!result} only when asked
+    ({!Switch.last_tcpu_result}). *)
+
+type ctx = Compile.ectx
+(** A reusable execution context bound to one switch state. *)
+
+val context : State.t -> ctx
+
+val run :
+  ?backend:backend -> ctx -> now:int -> tpp:Tpp_isa.Tpp.t -> meta:Tpp_isa.Meta.t -> int
+(** Executes [tpp] with {!execute}'s semantics (state mutations and
+    counters included) against the context's switch state and returns
+    the packed outcome: {!skipped} for an already-faulted TPP, else a
+    {!Compile.pack}ed count and stop. With the compiled backend a run
+    allocates nothing. *)
+
+val skipped : int
+(** The outcome of a TPP that had already faulted: nothing ran. *)
+
+val result : ctx -> int -> result
+(** [result ctx packed] is the {!result} [packed] stands for; a fault
+    is read from [ctx], so call it before the context's next run. *)
+
 val cycle_budget : int
 (** Cycles available to a minimum-size packet under 300 ns cut-through
     latency at 1 GHz (paper §3.3 "Overheads"): 300. *)

@@ -56,6 +56,24 @@ let send stack ~dst ~tpp ~seq =
   Stack.send_udp stack ~dst ~src_port:request_port ~dst_port:request_port
     ~tpp:(Tpp.copy tpp) ~payload ()
 
+(* Every echo a host receives reaches every reply handler on its stack,
+   so the controllers sharing a stack split the u32 echo sequence space
+   into blocks. The counter lives on the stack, so a controller's block
+   depends only on the controllers created on its own stacks before it,
+   never on what else ran in the process. Block 0 stays with data
+   sequence numbers, which piggybacked echoes carry. *)
+let seq_block = 1 lsl 20
+let seq_blocks = 1 lsl (32 - 20)
+
+let alloc_block stacks =
+  let b = List.fold_left (fun b s -> max b (Stack.next_seq_block s)) 1 stacks in
+  if b >= seq_blocks then
+    invalid_arg "Probe.alloc_block: echo sequence blocks exhausted on this stack";
+  List.iter (fun s -> Stack.set_next_seq_block s (b + 1)) stacks;
+  b * seq_block
+
+let in_block base seq = seq >= base && seq < base + seq_block
+
 let install_reply_handler stack callback =
   Stack.on_udp_add stack ~port:reply_port (fun ~now frame ->
       match decode_echo (Frame.payload frame) with
@@ -109,9 +127,6 @@ module Reliable = struct
     | None -> ()
     | Some f -> f ~now ~event ~seq ~attempts
 
-  let seq_block = 1 lsl 20
-  let next_uid = ref 0
-
   (* Timeout for the nth (0-based) transmission; exponential backoff
      keeps retries of a congestion-dropped probe from feeding the
      congestion that dropped it. *)
@@ -147,7 +162,7 @@ module Reliable = struct
         end)
 
   let on_echo t ~now ~seq tpp =
-    if seq >= t.seq_base && seq < t.seq_base + seq_block then begin
+    if in_block t.seq_base seq then begin
       match Hashtbl.find_opt t.pending seq with
       | Some o ->
         o.o_done <- true;
@@ -164,14 +179,13 @@ module Reliable = struct
     if timeout <= 0 then invalid_arg "Probe.Reliable.create: timeout must be positive";
     if retries < 0 then invalid_arg "Probe.Reliable.create: retries must be >= 0";
     if backoff < 1.0 then invalid_arg "Probe.Reliable.create: backoff must be >= 1";
-    incr next_uid;
     let t =
       {
         stack;
         timeout;
         retries;
         backoff;
-        seq_base = !next_uid * seq_block;
+        seq_base = alloc_block [ stack ];
         seq = 0;
         pending = Hashtbl.create 32;
         s_probes = 0;

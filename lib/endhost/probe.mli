@@ -39,7 +39,20 @@ val install_reply_handler :
 (** Calls back with the executed TPP from each echo. Handlers
     accumulate: every registered handler sees every echo, so concurrent
     controllers on one host must partition the sequence-number space
-    (each built-in controller allocates a disjoint block). *)
+    (each built-in controller takes a block with {!alloc_block}). *)
+
+val alloc_block : Stack.t list -> int
+(** [alloc_block stacks] claims an echo sequence block that no other
+    controller on any of [stacks] holds and returns its first sequence
+    number. Blocks are counted per stack (block 0 is left to data
+    sequence numbers), so a controller's block never depends on
+    controllers elsewhere in the process.
+    @raise Invalid_argument when one of [stacks] has handed out all
+    4095 blocks. *)
+
+val in_block : int -> int -> bool
+(** [in_block base seq]: [seq] lies in the 2{^20}-number block starting
+    at [base]. *)
 
 (** Probe round-trips hardened against loss: per-probe timeout, bounded
     retransmission with exponential backoff, and loss accounting. The

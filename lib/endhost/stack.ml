@@ -10,6 +10,7 @@ type t = {
   mutable default : now:int -> Frame.t -> unit;
   mutable sent : int;
   mutable received : int;
+  mutable next_seq_block : int;  (* see [Probe.alloc_block] *)
 }
 
 let dispatch t ~now frame =
@@ -33,10 +34,14 @@ let create net host =
       default = (fun ~now:_ _ -> ());
       sent = 0;
       received = 0;
+      next_seq_block = 1;
     }
   in
   host.Net.receive <- (fun ~now frame -> dispatch t ~now frame);
   t
+
+let next_seq_block t = t.next_seq_block
+let set_next_seq_block t b = t.next_seq_block <- b
 
 let net t = t.net
 let host t = t.host

@@ -56,3 +56,10 @@ val udp_sent : t -> int
 val udp_received : t -> int
 (** Frames delivered to this stack's dispatcher so far. Comparing with
     a peer's {!udp_sent} gives a loss count under fault injection. *)
+
+val next_seq_block : t -> int
+(** The first echo sequence block no controller on this stack holds yet
+    (1 on a fresh stack). Only {!Probe.alloc_block} reads and advances
+    it. *)
+
+val set_next_seq_block : t -> int -> unit

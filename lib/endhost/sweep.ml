@@ -30,9 +30,6 @@ let source =
 let words_per_hop = 4
 let max_hops = 10
 
-let seq_block = 1 lsl 20
-let next_uid = ref 0
-
 type t = {
   circuits : circuit list;
   period : int;
@@ -78,13 +75,17 @@ let create ~circuits ~period =
     | Ok tpp -> tpp
     | Error e -> invalid_arg ("Sweep.create: " ^ e)
   in
-  incr next_uid;
+  let sources =
+    List.fold_left
+      (fun acc c -> if List.memq c.src acc then acc else c.src :: acc)
+      [] circuits
+  in
   let t =
     {
       circuits;
       period;
       tpp;
-      seq_base = !next_uid * seq_block;
+      seq_base = Probe.alloc_block sources;
       running = false;
       epoch = 0;
       seq = 0;
@@ -95,15 +96,10 @@ let create ~circuits ~period =
   in
   (* Replies come back to each circuit's source stack; register on the
      distinct ones. *)
-  let sources =
-    List.fold_left
-      (fun acc c -> if List.memq c.src acc then acc else c.src :: acc)
-      [] circuits
-  in
   List.iter
     (fun stack ->
       Probe.install_reply_handler stack (fun ~now:_ ~seq tpp ->
-          if t.running && seq >= t.seq_base && seq < t.seq_base + seq_block then
+          if t.running && Probe.in_block t.seq_base seq then
             accumulate t tpp))
     sources;
   t

@@ -145,18 +145,17 @@ let mem_set t off v =
   if off < 0 || off + 4 > t.mem_len then oob "Tpp.mem_set";
   Bytes.set_int32_be t.memory (t.mem_off + off) (Int32.of_int (v land 0xFFFF_FFFF))
 
-let words t =
-  let n = t.mem_len / 4 in
-  List.init n (fun i -> mem_get t (4 * i))
+(* The [n] words from [start], consed from the last one back: a
+   top-level loop, so a decode allocates only the list itself. *)
+let rec words_from t start i acc =
+  if i < 0 then acc else words_from t start (i - 1) (mem_get t (start + (4 * i)) :: acc)
 
-let stack_values t =
-  let n = (t.sp - t.base) / 4 in
-  List.init (max 0 n) (fun i -> mem_get t (t.base + (4 * i)))
+let words t = words_from t 0 ((t.mem_len / 4) - 1) []
+
+let stack_values t = words_from t t.base ((t.sp - t.base) / 4 - 1) []
 
 let hop_block t ~hop =
-  let start = t.base + (hop * t.perhop_len) in
-  let n = t.perhop_len / 4 in
-  List.init n (fun i -> mem_get t (start + (4 * i)))
+  words_from t (t.base + (hop * t.perhop_len)) ((t.perhop_len / 4) - 1) []
 
 let flags_of t =
   (match t.addr_mode with Stack -> 0 | Hop_addressed -> 1)

@@ -48,9 +48,6 @@ type t = {
   mutable round : int;
 }
 
-let seq_block = 1 lsl 20
-let next_uid = ref 0
-
 let node_of_switch_id net swid =
   match List.find_opt (fun (_, sw) -> Switch.id sw = swid) (Net.switches net) with
   | Some (node, _) -> Some node
@@ -78,7 +75,6 @@ let create ?(window = 8) ?(loss_threshold = 0.25) ~circuits ~period ~timeout () 
   if window < 1 then invalid_arg "Faultfind.create: window must be >= 1";
   if not (loss_threshold > 0.0 && loss_threshold <= 1.0) then
     invalid_arg "Faultfind.create: loss_threshold must be in (0, 1]";
-  incr next_uid;
   let probe =
     match Programs.build ~max_hops:10 Programs.record_route with
     | Ok tpp -> tpp
@@ -114,6 +110,11 @@ let create ?(window = 8) ?(loss_threshold = 0.25) ~circuits ~period ~timeout () 
     }
   in
   let circuits = Array.of_list (List.map circuit_of circuits) in
+  let sources =
+    Array.fold_left
+      (fun acc c -> if List.memq c.src acc then acc else c.src :: acc)
+      [] circuits
+  in
   let t =
     {
       net;
@@ -122,7 +123,7 @@ let create ?(window = 8) ?(loss_threshold = 0.25) ~circuits ~period ~timeout () 
       timeout;
       window;
       loss_threshold;
-      seq_base = !next_uid * seq_block;
+      seq_base = Probe.alloc_block sources;
       probe;
       running = false;
       epoch = 0;
@@ -131,15 +132,10 @@ let create ?(window = 8) ?(loss_threshold = 0.25) ~circuits ~period ~timeout () 
   in
   (* Replies are matched to circuits by sequence number. *)
   let n = Array.length circuits in
-  let sources =
-    Array.fold_left
-      (fun acc c -> if List.memq c.src acc then acc else c.src :: acc)
-      [] circuits
-  in
   List.iter
     (fun stack ->
       Probe.install_reply_handler stack (fun ~now ~seq _tpp ->
-          if seq >= t.seq_base && seq < t.seq_base + seq_block then begin
+          if Probe.in_block t.seq_base seq then begin
             let idx = (seq - t.seq_base) mod n in
             let c = t.circuits.(idx) in
             if c.src == stack then begin

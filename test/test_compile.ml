@@ -223,15 +223,88 @@ let show_digest (r1, r2, words, sp, hop, faulted, (sram1, c1), (sram2, c2)) =
     (show_res r1) (show_res r2) (ints words) sp hop faulted (ints sram1)
     (counters c1) (ints sram2) (counters c2)
 
+(* The switch's own path: [Switch.handle_ingress] runs the compiled
+   core in the switch's reused context and keeps the outcome as ints;
+   what [Switch.last_tcpu_result] rebuilds from them must equal the
+   interpreter run on copies of the packet and of the switch state taken
+   as the TCPU was about to run (the queue classifier is called right
+   before it). Two hops, like [run_scenario], so the second covers a
+   later hop block and the inert faulted TPP. Returns the first
+   divergence. *)
+(* The wire image and the TPP header state it is flushed from (raw:
+   frames of unencodable programs cannot be serialized). *)
+let frame_image (f : Frame.t) =
+  let tpp = Option.get f.Frame.tpp in
+  (Bytes.sub_string f.Frame.buf 0 f.Frame.len, tpp.Prog.sp, tpp.Prog.hop, tpp.Prog.faulted)
+
+let switch_divergence_under backend sc =
+  Tcpu.set_default_backend backend;
+  let frame = build_frame sc in
+  let out_port = if sc.out_port >= 0 && sc.out_port < 4 then sc.out_port else 2 in
+  let hop ~switch_id ~now =
+    let sw = Switch.create ~id:switch_id ~num_ports:4 () in
+    let st = Switch.state sw in
+    State.force_queue_depth st ~port:2 ~bytes:sc.qdepth;
+    (State.port st 2).State.Port.capacity_bps <- 10_000_000;
+    List.iteri (fun i v -> ignore (State.sram_set st i v)) sc.sram_init;
+    Switch.install_l2 sw (Mac.of_host_id 2) ~port:out_port ~entry_id:55 ~version:1;
+    let at_tcpu = ref None in
+    Switch.set_queue_classifier sw (fun f ->
+        let st_copy : State.t = Marshal.from_string (Marshal.to_string st []) 0 in
+        at_tcpu := Some (st_copy, Frame.clone f);
+        0);
+    ignore (Switch.handle_ingress sw ~now ~in_port:1 frame);
+    match !at_tcpu with
+    | None -> Some "the frame never reached the TCPU"
+    | Some (ref_st, copy) ->
+      let m = frame.Frame.meta and c = copy.Frame.meta in
+      c.Meta.in_port <- m.Meta.in_port;
+      c.Meta.out_port <- m.Meta.out_port;
+      c.Meta.queue_id <- m.Meta.queue_id;
+      c.Meta.matched_entry <- m.Meta.matched_entry;
+      c.Meta.matched_version <- m.Meta.matched_version;
+      c.Meta.table_hit <- m.Meta.table_hit;
+      c.Meta.arrival_ns <- m.Meta.arrival_ns;
+      c.Meta.hop_count <- m.Meta.hop_count;
+      let expected = Tcpu.execute ~backend:Tcpu.Interpreter ref_st ~now ~frame:copy in
+      let got = Switch.last_tcpu_result sw in
+      if res_digest got <> res_digest expected then
+        Some
+          (Printf.sprintf "switch %d: result differs from the interpreter's" switch_id)
+      else if frame_image frame <> frame_image copy then
+        Some (Printf.sprintf "switch %d: frame bytes differ" switch_id)
+      else if state_digest st <> state_digest ref_st then
+        Some (Printf.sprintf "switch %d: SRAM or TPP counters differ" switch_id)
+      else None
+  in
+  match hop ~switch_id:3 ~now:sc.now with
+  | Some _ as d -> d
+  | None -> hop ~switch_id:4 ~now:(sc.now + 777)
+
+(* Under both default backends: an interpreting switch goes through the
+   same packed outcome. *)
+let switch_divergence sc =
+  Fun.protect
+    ~finally:(fun () -> Tcpu.set_default_backend Tcpu.Compiled)
+    (fun () ->
+      match switch_divergence_under Tcpu.Compiled sc with
+      | Some d -> Some ("compiled: " ^ d)
+      | None ->
+        Option.map (fun d -> "interpreted: " ^ d)
+          (switch_divergence_under Tcpu.Interpreter sc))
+
 let prop_backends_agree =
   QCheck.Test.make ~name:"compiled backend == interpreter (random programs)"
     ~count:500 scenario_arbitrary (fun sc ->
       let reference = run_scenario Tcpu.Interpreter sc in
       let compiled = run_scenario Tcpu.Compiled sc in
-      if reference = compiled then true
-      else
+      if reference <> compiled then
         QCheck.Test.fail_reportf "backends diverge\ninterpreter: %s\ncompiled:    %s"
-          (show_digest reference) (show_digest compiled))
+          (show_digest reference) (show_digest compiled)
+      else
+        match switch_divergence sc with
+        | None -> true
+        | Some d -> QCheck.Test.fail_reportf "switch path diverges: %s" d)
 
 (* The generator finds these eventually; pin them so every run covers
    the canonical fault shapes and the CEXEC/CSTORE stop semantics. *)
@@ -280,7 +353,10 @@ let test_nasty_programs_agree () =
       let compiled = run_scenario Tcpu.Compiled sc in
       if reference <> compiled then
         Alcotest.failf "%s diverges\ninterpreter: %s\ncompiled:    %s" name
-          (show_digest reference) (show_digest compiled))
+          (show_digest reference) (show_digest compiled);
+      match switch_divergence sc with
+      | None -> ()
+      | Some d -> Alcotest.failf "%s: switch path diverges: %s" name d)
     nasty_programs
 
 (* --- the program cache --------------------------------------------------- *)

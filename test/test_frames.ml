@@ -144,20 +144,23 @@ let prop_pooled_construction_identical =
   QCheck.Test.make
     ~name:"pooled and unpooled frames render the same wire image" ~count:300
     frame_spec_arbitrary
-    (fun (sport, dport, ip, ttl, payload, _) ->
-      (* The pool path is exercised on plain UDP (its steady-state use),
-         so the spec's TPP component is dropped on both sides. *)
+    (fun (sport, dport, ip, ttl, payload, tpp) ->
+      let tpp =
+        Option.map
+          (fun (prog, mem_words) -> Prog.make ~program:prog ~mem_len:(4 * mem_words) ())
+          tpp
+      in
       let pool = Frame.Pool.create ~capacity:4 ~frame_bytes:256 () in
       let pooled =
         Frame.Pool.udp_frame pool ~src_mac:mac_a ~dst_mac:mac_b
           ~src_ip:(Ipv4.Addr.of_int ip) ~dst_ip:(Ipv4.Addr.of_host_id 2)
-          ~src_port:sport ~dst_port:dport ~ttl
+          ~src_port:sport ~dst_port:dport ~ttl ?tpp:(Option.map Prog.copy tpp)
           ~payload:(Bytes.of_string payload) ()
       in
       let plain =
         Frame.udp_frame ~src_mac:mac_a ~dst_mac:mac_b
           ~src_ip:(Ipv4.Addr.of_int ip) ~dst_ip:(Ipv4.Addr.of_host_id 2)
-          ~src_port:sport ~dst_port:dport ~ttl
+          ~src_port:sport ~dst_port:dport ~ttl ?tpp:(Option.map Prog.copy tpp)
           ~payload:(Bytes.of_string payload) ()
       in
       (* The IP ident is the one constructor input drawn from the global
@@ -167,6 +170,27 @@ let prop_pooled_construction_identical =
       Bytes.equal (Frame.serialize pooled) (Frame.serialize plain)
       && Frame.flow_hash pooled = Frame.flow_hash plain
       && Frame.wire_size pooled = Frame.wire_size plain)
+
+(* Building a pooled TPP frame writes every header from scalars: beyond
+   the caller's program copy (and the option around it), it allocates
+   nothing. *)
+let test_pooled_tpp_frame_allocates_nothing () =
+  let pool = Frame.Pool.create ~capacity:2 () in
+  let tpp =
+    Some
+      (Result.get_ok
+         (Asm.to_tpp ~perhop_len:20 ~mem_len:100
+            "PUSH [Switch:SwitchID]\nPUSH [Link:QueueSize]\n"))
+  in
+  let payload = Bytes.make 1000 'x' in
+  let src_ip = Ipv4.Addr.of_host_id 1 and dst_ip = Ipv4.Addr.of_host_id 2 in
+  let build () =
+    Frame.recycle
+      (Frame.Pool.udp_frame pool ~src_mac:mac_a ~dst_mac:mac_b ~src_ip ~dst_ip
+         ~src_port:5 ~dst_port:7 ?tpp ~payload ())
+  in
+  Alcotest.(check (float 0.0)) "minor words per pooled TPP frame" 0.0
+    (Alloc_count.per_call build)
 
 let test_pool_reuse () =
   let pool = Frame.Pool.create ~capacity:2 ~frame_bytes:256 () in
@@ -268,4 +292,6 @@ let suite =
     Alcotest.test_case "pool reuse bookkeeping" `Quick test_pool_reuse;
     Alcotest.test_case "clone owns a private buffer" `Quick test_clone_is_private;
     Alcotest.test_case "pcap golden image" `Quick test_pcap_golden;
+    Alcotest.test_case "pooled tpp frame allocates nothing" `Quick
+      test_pooled_tpp_frame_allocates_nothing;
   ]

@@ -181,6 +181,61 @@ let test_invalid_ingress_port () =
   | Switch.Dropped _ -> ()
   | Switch.Queued _ -> Alcotest.fail "invalid port accepted"
 
+(* --- Allocation ------------------------------------------------------------ *)
+
+(* The paper's 5-PUSH statistics program with one 20-byte record per
+   hop, as the benchmark's fabric_tpp workload sends it. *)
+let stats_tpp () =
+  match
+    Asm.to_tpp ~perhop_len:20 ~mem_len:100
+      "PUSH [Switch:SwitchID]\nPUSH [Link:QueueSize]\nPUSH [Link:RxUtilization]\n\
+       PUSH [Link:CapacityKbps]\nPUSH [Link:Drops]\n"
+  with
+  | Ok tpp -> tpp
+  | Error e -> Alcotest.failf "assembly: %s" e
+
+(* A TPP hop through a warmed switch — lookup, compiled TCPU, enqueue,
+   dequeue — allocates nothing: the TCPU runs in the switch's reused
+   context and the switch keeps its outcome as an int. *)
+let test_tpp_hop_allocates_nothing () =
+  Tpp_asic.Tcpu.set_default_backend Tpp_asic.Tcpu.Compiled;
+  let ft =
+    Topology.fat_tree (Engine.create ()) ~addressing:`Pods ~fib:`Aggregated ~k:4
+      ~bps:10_000_000_000 ~delay:(Time_ns.us 1) ()
+  in
+  let net = ft.Topology.f_net in
+  let src = ft.Topology.f_hosts.(0) and dst = ft.Topology.f_hosts.(15) in
+  let edge, in_port =
+    match Net.neighbors net src.Net.node_id with
+    | [ (_, edge, port) ] -> (edge, port)
+    | _ -> Alcotest.fail "host has one uplink"
+  in
+  let sw = Net.switch net edge in
+  let tpp = stats_tpp () in
+  let frame =
+    Frame.Pool.udp_frame (Frame.Pool.create ()) ~src_mac:src.Net.mac
+      ~dst_mac:dst.Net.mac ~src_ip:src.Net.ip ~dst_ip:dst.Net.ip ~src_port:5
+      ~dst_port:7 ~tpp ~payload:(Bytes.make 1000 'x') ()
+  in
+  let hop () =
+    (* Rewind the packet so every hop runs the full program. *)
+    tpp.Prog.sp <- tpp.Prog.base;
+    tpp.Prog.hop <- 0;
+    Frame.set_ip_ttl frame 64;
+    match Switch.handle_ingress sw ~now:0 ~in_port frame with
+    | Switch.Queued [ p ] when Switch.dequeue_or sw ~port:p ~default:frame == frame -> ()
+    | _ -> Alcotest.fail "hop did not forward the frame"
+  in
+  for _ = 1 to 100 do
+    hop ()
+  done;
+  check (Alcotest.float 0.0) "minor words per TPP hop" 0.0 (Alloc_count.per_call hop);
+  match Switch.last_tcpu_result sw with
+  | Some r ->
+    check Alcotest.int "all five PUSHes ran" 5 r.Tpp_asic.Tcpu.executed;
+    check Alcotest.bool "no fault" true (r.Tpp_asic.Tcpu.fault = None)
+  | None -> Alcotest.fail "no TCPU result recorded"
+
 let suite =
   [
     Alcotest.test_case "l3 forwarding and metadata" `Quick test_l3_forwarding_and_meta;
@@ -197,4 +252,5 @@ let suite =
     Alcotest.test_case "strip tpp at edge" `Quick test_strip_tpp_at_edge;
     Alcotest.test_case "tap" `Quick test_tap;
     Alcotest.test_case "invalid ingress port" `Quick test_invalid_ingress_port;
+    Alcotest.test_case "tpp hop allocates nothing" `Quick test_tpp_hop_allocates_nothing;
   ]

@@ -210,6 +210,71 @@ let test_fct_rejects_bad_shape () =
         (Fct.fabric_run Fct.Ndp_t
            { Fct.fabric_default with Fct.f_shape = 0.9 }))
 
+(* --- Echo sequence blocks -------------------------------------------------- *)
+
+(* Sender stacks of a throwaway dumbbell: whatever controllers they
+   hold must never change a run elsewhere in the process. *)
+let throwaway_stacks n =
+  let eng = Engine.create () in
+  let bell =
+    Topology.dumbbell eng ~pairs:n ~core_bps:1_000_000_000 ~edge_bps:1_000_000_000
+      ~delay:(Time_ns.us 1) ()
+  in
+  let net = bell.Topology.d_net in
+  (Array.map (Stack.create net) bell.Topology.senders, bell.Topology.receivers.(0))
+
+let test_probe_blocks_exhaust () =
+  let stacks, _ = throwaway_stacks 3 in
+  let a = stacks.(0) and b = stacks.(1) and c = stacks.(2) in
+  check Alcotest.int "first block skips the data block 0" (1 lsl 20)
+    (Probe.alloc_block [ a ]);
+  for _ = 2 to 4095 do
+    ignore (Probe.alloc_block [ a ])
+  done;
+  let exhausted =
+    Invalid_argument "Probe.alloc_block: echo sequence blocks exhausted on this stack"
+  in
+  Alcotest.check_raises "4096th block" exhausted (fun () ->
+      ignore (Probe.alloc_block [ a ]));
+  Alcotest.check_raises "controllers see it too" exhausted (fun () ->
+      ignore (Probe.Reliable.create a));
+  check Alcotest.int "other stacks are unaffected" (1 lsl 20) (Probe.alloc_block [ b ]);
+  check Alcotest.int "a shared block is free on every stack" (2 lsl 20)
+    (Probe.alloc_block [ c; b ]);
+  check Alcotest.int "and taken on every stack" (3 lsl 20) (Probe.alloc_block [ c ]);
+  check Alcotest.bool "the last block reaches the top of the u32 space" true
+    (Probe.in_block (4095 lsl 20) 0xFFFF_FFFF && not (Probe.in_block (1 lsl 20) 0))
+
+(* Before per-stack blocks, every controller of a kind in the process
+   advanced one counter, and after 4096 of them a controller's block no
+   longer fit the echo's u32 sequence field: replies stopped matching and
+   RCP* and TPP-LB ran differently depending on what had run before
+   them. Here 5000 of each kind go to throwaway stacks (2500 a stack,
+   below the 4095-block limit) between two identical runs. *)
+let test_probe_blocks_process_independent () =
+  let params = { Fct.fabric_default with Fct.f_duration = Time_ns.ms 10; f_seed = 5 } in
+  let runs () = List.map (fun tr -> Fct.fabric_run tr params) [ Fct.Rcp_star_t; Fct.Tpp_lb_t ] in
+  let before = runs () in
+  let stacks, dst = throwaway_stacks 4 in
+  let flows =
+    Array.map
+      (fun src -> Flow.cbr ~src ~dst ~dst_port:9000 ~payload_bytes:1000 ~rate_bps:1_000_000)
+      stacks
+  in
+  for i = 0 to 4999 do
+    let s = i land 1 in
+    ignore
+      (Rcp_star.create stacks.(s) (Rcp_star.default_config ~slot:0) ~flow:flows.(s) ~dst);
+    ignore (Tpp_lb.create stacks.(2 + s) ~flow:flows.(2 + s) ~dst)
+  done;
+  let after = runs () in
+  List.iter2
+    (fun (x : Fct.fabric_outcome) y ->
+      let name = Fct.transport_name x.Fct.fo_transport in
+      check Alcotest.bool (name ^ " completes flows") true (x.Fct.fo_completed > 0);
+      check Alcotest.bool (name ^ " outcome unchanged") true (x = y))
+    before after
+
 let suite =
   [
     Alcotest.test_case "ndp clean completion with trims" `Quick test_ndp_clean;
@@ -222,4 +287,8 @@ let suite =
     Alcotest.test_case "dctcp u32 wraparound" `Quick test_dctcp_u32_wrap;
     Alcotest.test_case "fct rejects pareto shape <= 1" `Quick
       test_fct_rejects_bad_shape;
+    Alcotest.test_case "probe blocks: per-stack exhaustion" `Quick
+      test_probe_blocks_exhaust;
+    Alcotest.test_case "probe blocks: runs independent of other stacks" `Quick
+      test_probe_blocks_process_independent;
   ]
