@@ -1,92 +1,139 @@
-(* Packet-rate benchmark: the dataplane fast-path gate.
+(* Packet-rate benchmark and the dataplane's CI gates, on one harness: every fabric run is
+   a [scenario] executed by [run] (see "the harness" below). Each mode composes runs into
+   the gates described at its section, prints one line per row and, outside --smoke, writes
+   a BENCH_<n>.json through [write_json], so successive changes have a trajectory to beat.
+   Run as [dune exec bench/perf.exe -- ARGS]:
 
-   Drives a many-switch ECMP fat-tree with TPP-tagged UDP flows and
-   reports end-to-end event and packet throughput of the simulator
-   itself (wall-clock, not simulated time). Writes a machine-readable
-   BENCH_<n>.json so successive PRs have a trajectory to beat.
+     (no mode flag)   sequential packet rate            -> BENCH_1.json
+     --shards N       N-shard vs sequential             -> BENCH_2.json
+     --smoke          CI: 2-shard (or --shards N) run == sequential
+     --tpp-heavy      compiled TCPU == interpreter      -> BENCH_3.json
+     --chaos          fault injection: free when empty,
+                      chaotic run shard-independent     -> BENCH_4.json
+     --engine         allocation-free typed event core  -> BENCH_5.json
+     --frames         pooled flat frames == unpooled    -> BENCH_6.json
+     --telemetry      postcard pipeline and sketches    -> BENCH_7.json
+     --transports     RCP*, TCP, DCTCP, NDP, TPP-LB     -> BENCH_8.json
+     --scale          aggregated FIBs, 100k-host build  -> BENCH_9.json
+     --k K            fat-tree arity (even, default 8)
+     --packets N      packets per host (default 1500)
+     --wire-check always|cached|off, --out FILE
 
-     dune exec bench/perf.exe                 sequential engine -> BENCH_1.json
-     dune exec bench/perf.exe -- --shards 4   parallel (tpp_parsim) -> BENCH_2.json
-     dune exec bench/perf.exe -- --k 4        smaller fabric
-     dune exec bench/perf.exe -- --smoke      quick CI check: sequential and
-                                              2-shard runs must agree exactly
-     dune exec bench/perf.exe -- --tpp-heavy  TCPU compilation gate: interpreter
-                                              vs compiled backend -> BENCH_3.json
-     dune exec bench/perf.exe -- --tpp-heavy --smoke
-                                              quick CI check: compiled backend
-                                              (sequential and 2-shard) must match
-                                              the interpreter exactly
-     dune exec bench/perf.exe -- --chaos      fault-injection gate: an attached
-                                              empty schedule must be free, and a
-                                              chaotic run must be bit-identical
-                                              sequential vs sharded -> BENCH_4.json
-     dune exec bench/perf.exe -- --chaos --smoke
-                                              quick CI variant of the same gate
-     dune exec bench/perf.exe -- --engine     event-core gate: typed slab events
-                                              + timing-wheel scheduler vs the
-                                              closure/heap baseline, with GC
-                                              accounting -> BENCH_5.json
-     dune exec bench/perf.exe -- --engine --smoke
-                                              quick CI check: all scheduler and
-                                              event-mode combinations (and a
-                                              2-shard chaotic wheel run) must
-                                              agree exactly
-     dune exec bench/perf.exe -- --frames     zero-copy frame gate: pooled
-                                              flat frames vs the unpooled
-                                              allocate-per-send oracle, with
-                                              chaos and sharded identity
-                                              -> BENCH_6.json
-     dune exec bench/perf.exe -- --frames --smoke
-                                              quick CI check: pooled runs
-                                              (plain, chaotic, 2-shard) must
-                                              match the unpooled oracle and
-                                              stay inside the allocation
-                                              budget
-     dune exec bench/perf.exe -- --telemetry  streaming-telemetry gate: the
-                                              postcard pipeline must sustain
-                                              >= 1e6 cards/sec in bounded
-                                              memory, sketches must sit inside
-                                              their proven error bounds of the
-                                              exact oracles, and sequential vs
-                                              sharded collectors must agree
-                                              bit-for-bit -> BENCH_7.json
-     dune exec bench/perf.exe -- --telemetry --smoke
-                                              quick CI variant of the same gate
-     dune exec bench/perf.exe -- --transports five-way transport testbed on a
-                                              fat-tree (RCP*, TCP, DCTCP, NDP,
-                                              TPP-LB): NDP's 99p short-flow FCT
-                                              must beat TCP's at 60% load, all
-                                              five transports must be
-                                              bit-identical sequential vs
-                                              sharded, NDP must complete every
-                                              message under a chaotic drop
-                                              schedule, and the trim hot path
-                                              must stay allocation-free
-                                              -> BENCH_8.json
-     dune exec bench/perf.exe -- --transports --smoke
-                                              quick CI variant of the same gate
-     dune exec bench/perf.exe -- --scale      million-host fabric gate:
-                                              aggregated FIBs must forward
-                                              bit-identically to the per-host
-                                              /32 oracle (sequentially and
-                                              sharded) at ~1000x fewer entries,
-                                              a 100k-host leaf-spine must build
-                                              at <= 200 bytes/idle-host, and
-                                              the k=16 fabric must hold
-                                              BENCH_6's event rate
-                                              -> BENCH_9.json
-     dune exec bench/perf.exe -- --scale --smoke
-                                              quick CI variant: k=8 route
-                                              equivalence + leaf-spine
-                                              delivery, bounded runtime
-     dune exec bench/perf.exe -- --out b.json custom output path
-
-   Every mode reports allocation provenance alongside throughput:
-   minor-words/event and promoted-words/event from Gc.quick_stat deltas
-   around the run (per-domain and summed for sharded runs).
-*)
+   Every mode flag takes --smoke for its quick CI variant (fixed small sizes, bounded
+   runtime, no JSON except --transports); at most one mode flag is accepted. Bad arguments
+   exit 2 with a one-line "perf:" message; a failed gate exits 1. Allocation is reported as
+   minor and promoted words per event, counted exactly on the running domain (per shard and
+   summed for sharded runs). *)
 
 open Tpp
+
+(* [Fabric] is BENCH_1, BENCH_2 with --shards N, or the plain --smoke. *)
+type mode = Fabric | Tpp_heavy | Chaos | Engine | Frames | Telemetry | Transports | Scale
+
+let mode_flags =
+  [ ("--tpp-heavy", Tpp_heavy); ("--chaos", Chaos); ("--engine", Engine);
+    ("--frames", Frames); ("--telemetry", Telemetry); ("--transports", Transports);
+    ("--scale", Scale) ]
+
+type config = {
+  mode : mode;
+  k : int;  (* fat-tree arity *)
+  packets_per_host : int;
+  payload_bytes : int;
+  gap_ns : int;  (* inter-departure time per host *)
+  wire_check : Net.wire_check;
+  shards : int;  (* 0 = plain sequential engine *)
+  smoke : bool;
+  out : string option;
+}
+
+let default =
+  { mode = Fabric; k = 8; packets_per_host = 1500; payload_bytes = 1000; gap_ns = 6_000;
+    wire_check = `Cached; shards = 0; smoke = false; out = None }
+
+let horizon = Time_ns.sec 10
+let hosts cfg = cfg.k * cfg.k * cfg.k / 4
+let rate n wall = float_of_int n /. wall
+let per_event words events = if events = 0 then 0.0 else words /. float_of_int events
+let tag_of cfg name = Printf.sprintf "perf(%s%s)" name (if cfg.smoke then " smoke" else "")
+let out_path cfg n = Option.value cfg.out ~default:(Printf.sprintf "BENCH_%d.json" n)
+
+(* Most gates' smoke variant is a k=4 fabric with 200 packets per host, and their identity
+   runs use 2 shards on a smoke, else --shards or 4. *)
+let smoke_size cfg = if cfg.smoke then { cfg with k = 4; packets_per_host = 200 } else cfg
+let gate_shards cfg = if cfg.smoke then 2 else if cfg.shards > 0 then cfg.shards else 4
+
+(* [say] prints one line of a gate's report; [fail] one line on stderr, then exits 1 — a
+   fast wrong simulator is not a result. *)
+let say tag fmt = Printf.printf ("%s: " ^^ fmt ^^ "\n%!") tag
+let fail tag fmt = Printf.ksprintf (fun s -> Printf.eprintf "%s: FAIL — %s\n%!" tag s; exit 1) fmt
+
+(* Allocation provenance, exact and domain-local: Gc.minor_words counts every word the
+   calling domain allocated, where Gc.quick_stat moves in whole minor heaps (a small smoke
+   read 3.15 or 6.30 w/ev on identical runs) and, in OCaml 5, sums every running domain.
+   Words are promoted only at minor collections, so the promoted count is exact too.
+   Sharded runs mark and read inside each shard's own domain. *)
+let gc_mark () =
+  let _, promoted, _ = Gc.counters () in
+  (Gc.minor_words (), promoted)
+
+let gc_delta (m0, p0) = let m, p = gc_mark () in (m -. m0, p -. p0)
+
+(* ---- JSON ------------------------------------------------------------- *)
+
+type json = Num of string | Str of string | Obj of (string * json) list | Arr of json list
+
+let int n = Num (string_of_int n)
+let bool b = Num (string_of_bool b)
+
+(* Fixed decimals; a non-finite ratio (say, over a zero wall time) is null, not bad JSON. *)
+let fixed d x = Num (if Float.is_finite x then Printf.sprintf "%.*f" d x else "null")
+
+(* The one writer. Top-level keys and array elements go one per line, nested objects inline:
+   the layout of the committed BENCH files, whose key order bench/report.ml relies on. *)
+let write_json out j =
+  let b = Buffer.create 4096 in
+  let seq o sep c f xs =
+    Buffer.add_string b o;
+    List.iteri (fun i x -> if i > 0 then Buffer.add_string b sep; f x) xs;
+    Buffer.add_string b c
+  in
+  let rec emit depth = function
+    | Num s -> Buffer.add_string b s
+    | Str s ->
+      let esc = function
+        | ('"' | '\\') as c -> Printf.bprintf b "\\%c" c
+        | c when c < ' ' -> Printf.bprintf b "\\u%04x" (Char.code c)
+        | c -> Buffer.add_char b c
+      in
+      seq "\"" "" "\"" esc (List.of_seq (String.to_seq s))
+    | Obj kvs ->
+      let o, sep, c = if depth = 0 then ("{\n  ", ",\n  ", "\n}") else ("{ ", ", ", " }") in
+      seq o sep c (fun (k, v) -> emit 1 (Str k); Buffer.add_string b ": "; emit (depth + 1) v) kvs
+    | Arr xs -> seq "[\n    " ",\n    " "\n  ]" (emit (depth + 1)) xs
+  in
+  emit 0 j;
+  Buffer.add_char b '\n';
+  Out_channel.with_open_bin out (fun oc -> Buffer.output_buffer oc b);
+  Printf.printf "perf: wrote %s\n%!" out
+
+let git_commit () =
+  try
+    let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
+    let line = try String.trim (input_line ic) with End_of_file -> "" in
+    ignore (Unix.close_process_in ic);
+    if line = "" then "unknown" else line
+  with _ -> "unknown"
+
+(* The provenance keys every numbered BENCH file starts with. *)
+let header ~bench ~workload =
+  [ ("bench", int bench); ("workload", Str workload); ("git_commit", Str (git_commit ()));
+    ("ocaml", Str Sys.ocaml_version); ("cores", int (Domain.recommended_domain_count ())) ]
+
+let sharded_json ?(extra = []) ~shards wall =
+  Obj ((("shards", int shards) :: ("wall_s", fixed 6 wall) :: extra) @ [ ("identical", bool true) ])
+
+(* ---- workloads --------------------------------------------------------- *)
 
 let collect_program =
   "PUSH [Switch:SwitchID]\n\
@@ -95,135 +142,10 @@ let collect_program =
    PUSH [Link:CapacityKbps]\n\
    PUSH [Link:Drops]\n"
 
-type config = {
-  k : int;                    (* fat-tree arity *)
-  packets_per_host : int;
-  payload_bytes : int;
-  gap_ns : int;               (* inter-departure time per host *)
-  wire_check : Net.wire_check;
-  shards : int;               (* 0 = plain sequential engine *)
-  smoke : bool;
-  tpp_heavy : bool;           (* BENCH_3: TCPU backend comparison *)
-  chaos : bool;               (* BENCH_4: fault-injection gate *)
-  engine : bool;              (* BENCH_5: typed-event / wheel gate *)
-  frames : bool;              (* BENCH_6: zero-copy frame / pool gate *)
-  telemetry : bool;           (* BENCH_7: streaming-telemetry gate *)
-  transports : bool;          (* BENCH_8: five-way transport gate *)
-  scale : bool;               (* BENCH_9: million-host fabric gate *)
-  out : string option;
-}
-
-let default =
-  { k = 8; packets_per_host = 1500; payload_bytes = 1000; gap_ns = 6_000;
-    wire_check = `Cached; shards = 0; smoke = false; tpp_heavy = false;
-    chaos = false; engine = false; frames = false; telemetry = false;
-    transports = false; scale = false; out = None }
-
-let horizon = Time_ns.sec 10
-
-let build ?event_mode cfg eng =
-  let ft =
-    Topology.fat_tree eng ~wire_check:cfg.wire_check ?event_mode ~ecmp:true
-      ~k:cfg.k ~bps:10_000_000_000 ~delay:(Time_ns.us 1) ()
-  in
-  ft.Topology.f_net
-
-(* GC provenance. [gc_mark]/[gc_delta] use quick_stat and are for
-   single-domain (sequential) sections only: in OCaml 5 quick_stat
-   AGGREGATES minor_words across every running domain, so summing
-   per-shard quick_stat deltas counts each word once per shard — a
-   4-shard run would report up to 4x its true allocation. Sharded runs
-   must sample inside the shard with the [_local] variants below, which
-   read only the calling domain's counters. *)
-let gc_mark () =
-  let s = Gc.quick_stat () in
-  (s.Gc.minor_words, s.Gc.promoted_words)
-
-let gc_delta (m0, p0) =
-  let s = Gc.quick_stat () in
-  (s.Gc.minor_words -. m0, s.Gc.promoted_words -. p0)
-
-(* Domain-local: Gc.minor_words is exact for the calling domain;
-   Gc.counters' promoted_words lags by at most one minor-heap's worth
-   (it updates at collection boundaries), which is noise at bench
-   scale. Same tuple shape as gc_mark/gc_delta so call sites swap
-   freely. *)
-let gc_mark_local () =
-  let _, promoted, _ = Gc.counters () in
-  (Gc.minor_words (), promoted)
-
-let gc_delta_local (m0, p0) =
-  let _, promoted, _ = Gc.counters () in
-  (Gc.minor_words () -. m0, promoted -. p0)
-
-let per_event words events =
-  if events = 0 then 0.0 else words /. float_of_int events
-
-(* Identical traffic whether the net is the whole fabric or one shard:
-   each host streams to a partner in the opposite half, so flows cross
-   edge, aggregation and core layers and exercise ECMP. *)
-let setup_traffic cfg ~owns net =
-  let hosts = Array.of_list (Net.hosts net) in
-  let n = Array.length hosts in
-  let eng = Net.engine net in
-  let tpp_template = Result.get_ok (Asm.to_tpp ~mem_len:64 collect_program) in
-  let payload = Bytes.create cfg.payload_bytes in
-  let send src =
-    let dst = hosts.((src + (n / 2)) mod n) in
-    let s = hosts.(src) in
-    let frame =
-      Frame.udp_frame ~src_mac:s.Net.mac ~dst_mac:dst.Net.mac ~src_ip:s.Net.ip
-        ~dst_ip:dst.Net.ip ~src_port:(1000 + src) ~dst_port:7
-        ~tpp:(Prog.copy tpp_template) ~payload ()
-    in
-    Net.host_send net s frame
-  in
-  for src = 0 to n - 1 do
-    if owns hosts.(src).Net.node_id then
-      for j = 0 to cfg.packets_per_host - 1 do
-        (* Offset hosts against each other so departures are not all
-           simultaneous (keeps the event heap realistically mixed). *)
-        let t = (j * cfg.gap_ns) + (src * 7) + 1 in
-        Engine.at eng t (fun () -> send src)
-      done
-  done
-
-type outcome = {
-  events : int;
-  delivered : int;
-  wall : float;
-  minor_pe : float;   (* minor words allocated per event processed *)
-  promoted_pe : float;
-  rounds : int;       (* parallel only *)
-  messages : int;     (* frames that crossed a shard boundary *)
-  cut_links : int;
-  lookahead_ns : int;
-}
-
-let run_sequential ?scheduler ?event_mode cfg =
-  let eng = Engine.create ?scheduler () in
-  let net = build ?event_mode cfg eng in
-  setup_traffic cfg ~owns:(fun _ -> true) net;
-  let g0 = gc_mark () in
-  let t0 = Unix.gettimeofday () in
-  Engine.run eng ~until:horizon;
-  let wall = Unix.gettimeofday () -. t0 in
-  let minor, promoted = gc_delta g0 in
-  let events = Engine.events_processed eng in
-  { events; delivered = Net.frames_delivered net; wall;
-    minor_pe = per_event minor events;
-    promoted_pe = per_event promoted events;
-    rounds = 0; messages = 0; cut_links = 0; lookahead_ns = 0 }
-
-(* ---- TPP-heavy workload (BENCH_3): the TCPU compilation gate -------
-
-   Long per-hop programs make the TCPU the dominant per-event cost, so
-   the interpreter-vs-compiled instruction throughput is visible above
-   the simulator's fixed overheads. The same workload runs under both
-   backends (and sharded), and every architectural observable — events,
-   deliveries, faults, execs, cycles, switch registers, SRAM — must be
-   bit-identical. *)
-
+(* The TPP-heavy workload (BENCH_3): long per-hop programs make the TCPU
+   the dominant per-event cost, so the interpreter-vs-compiled
+   instruction throughput is visible above the simulator's fixed
+   overheads. *)
 let heavy_block =
   "LOAD [Switch:PacketsSeen], [Packet:0]\n\
    LOAD [Link:QueueSize], [Packet:4]\n\
@@ -255,433 +177,97 @@ let heavy_fault_program =
    STORE [Switch:SwitchID], 1\n\
    ADD [Sram:9], 1\n"
 
-let setup_heavy_traffic cfg ~owns net =
+(* What every host sends: [packets_per_host] frames to its partner in the opposite half of
+   the fabric, so flows cross edge, aggregation and core layers and exercise ECMP; packet j
+   of host src leaves at j * gap + 7 * src + 1 (offset hosts keep departures apart).
+   [Tagged] frames carry a TPP — with [faulting], every 16th packet of each host carries
+   that program instead, a choice that depends only on (src, j), so any shard layout
+   agrees — and all sends are scheduled up front. [Plain] frames are untagged, drawn from
+   one pool per sending host when [pooled], and each send schedules the next, so the wheel
+   holds one pending send per host rather than hosts x packets parked closures. The two
+   schedules stamp the same sends differently (so same-instant ties break differently);
+   each keeps the one its BENCH files were recorded with (Tagged: 1, 3, 4; Plain: 2, 5-9). *)
+type load =
+  | Tagged of { mem_len : int; program : string; faulting : string option }
+  | Plain of { pooled : bool }
+
+let tagged = Tagged { mem_len = 64; program = collect_program; faulting = None }
+let heavy = Tagged { mem_len = 32; program = heavy_program; faulting = Some heavy_fault_program }
+let plain = Plain { pooled = false }
+let pooled = Plain { pooled = true }
+
+let wire_checks = [ ("always", `Always); ("cached", `Cached); ("off", `Off) ]
+
+let workload_of cfg load =
+  let what =
+    match load with
+    | Tagged { faulting = None; _ } -> "TPP-tagged UDP packets"
+    | Tagged { mem_len; program; _ } ->
+      Printf.sprintf "UDP packets, %d-instr TPP per hop (1 in 16 packets faulting)"
+        (Array.length (Result.get_ok (Asm.to_tpp ~mem_len program)).Prog.program)
+    | Plain _ -> "plain UDP packets"
+  in
+  Printf.sprintf "fat-tree k=%d (ECMP), %d hosts x %d %s, %dB payload, wire_check=%s"
+    cfg.k (hosts cfg) cfg.packets_per_host what cfg.payload_bytes
+    (fst (List.find (fun (_, w) -> w = cfg.wire_check) wire_checks))
+
+(* Schedules [load] for the hosts [owns] selects and returns the traffic pools (none unless
+   pooled). Pools and TPP templates are created here, in the calling domain — the shard's
+   own, for a sharded run — so recycling at delivery is same-domain for intra-shard traffic
+   and a safe no-op across a boundary. *)
+let schedule_load cfg load ~owns net =
   let hosts = Array.of_list (Net.hosts net) in
-  let n = Array.length hosts in
-  let eng = Net.engine net in
-  let tpp_template = Result.get_ok (Asm.to_tpp ~mem_len:32 heavy_program) in
-  let fault_template = Result.get_ok (Asm.to_tpp ~mem_len:32 heavy_fault_program) in
+  let n = Array.length hosts and eng = Net.engine net in
   let payload = Bytes.create cfg.payload_bytes in
-  let send src faulty =
-    let dst = hosts.((src + (n / 2)) mod n) in
-    let s = hosts.(src) in
-    let tpp = Prog.copy (if faulty then fault_template else tpp_template) in
-    let frame =
-      Frame.udp_frame ~src_mac:s.Net.mac ~dst_mac:dst.Net.mac ~src_ip:s.Net.ip
-        ~dst_ip:dst.Net.ip ~src_port:(1000 + src) ~dst_port:7 ~tpp ~payload ()
-    in
-    Net.host_send net s frame
+  let tpp =
+    match load with
+    | Tagged t ->
+      let asm src = Result.get_ok (Asm.to_tpp ~mem_len:t.mem_len src) in
+      let prog = asm t.program and faulting = Option.map asm t.faulting in
+      fun j ->
+        Some (Prog.copy (match faulting with Some f when j mod 16 = 0 -> f | _ -> prog))
+    | Plain _ -> fun _ -> None
   in
+  let pools =
+    if load <> pooled then [||]
+    else Array.map (fun _ -> Frame.Pool.create ~capacity:64 ~frame_bytes:2048 ()) hosts
+  in
+  let send src j =
+    let s = hosts.(src) and d = hosts.((src + (n / 2)) mod n) in
+    let src_mac = s.Net.mac and dst_mac = d.Net.mac and src_ip = s.Net.ip in
+    let dst_ip = d.Net.ip and src_port = 1000 + src in
+    Net.host_send net s
+      (if Array.length pools > 0 then
+         Frame.Pool.udp_frame pools.(src) ~src_mac ~dst_mac ~src_ip ~dst_ip ~src_port
+           ~dst_port:7 ~payload ()
+       else
+         Frame.udp_frame ~src_mac ~dst_mac ~src_ip ~dst_ip ~src_port ~dst_port:7 ?tpp:(tpp j)
+           ~payload ())
+  in
+  let at src j = (j * cfg.gap_ns) + (src * 7) + 1 in
   for src = 0 to n - 1 do
-    if owns hosts.(src).Net.node_id then
-      for j = 0 to cfg.packets_per_host - 1 do
-        let t = (j * cfg.gap_ns) + (src * 7) + 1 in
-        (* The faulting-packet choice depends only on (src, j), so the
-           set is identical whatever the shard layout. *)
-        Engine.at eng t (fun () -> send src (j mod 16 = 0))
-      done
-  done
+    if owns hosts.(src).Net.node_id then begin
+      match load with
+      | Tagged _ ->
+        for j = 0 to cfg.packets_per_host - 1 do
+          Engine.at eng (at src j) (fun () -> send src j)
+        done
+      | Plain _ ->
+        let rec tick j () =
+          send src j;
+          if j + 1 < cfg.packets_per_host then Engine.at eng (at src (j + 1)) (tick (j + 1))
+        in
+        if cfg.packets_per_host > 0 then Engine.at eng (at src 0) (tick 0)
+    end
+  done;
+  pools
 
-(* Per-switch register fingerprint, same shape as test_parsim's. The
-   compile hit/miss counters are deliberately excluded: each shard links
-   its own template family, so the hit/miss split — unlike every
-   architectural register — legitimately varies with the shard count. *)
-module SS = Switch_state
-
-let sram_hash (st : SS.t) =
-  Array.fold_left (fun acc w -> (acc * 1_000_003) + w) 0 st.SS.sram
-
-let port_fp (p : SS.Port.t) =
-  [
-    p.SS.Port.rx_bytes; p.rx_pkts; p.tx_bytes; p.tx_pkts; p.drops;
-    p.offered_bytes; p.queue_bytes;
-  ]
-
-let switch_fp id sw =
-  let st = Switch.state sw in
-  ( id,
-    [
-      st.SS.packets_seen; st.SS.bytes_seen; st.SS.drops; st.SS.tpp_execs;
-      st.SS.tpp_faults; st.SS.tpp_cycles; sram_hash st;
-    ]
-    @ List.concat_map port_fp (Array.to_list st.SS.ports) )
-
-let net_fp ~owns net =
-  Net.switches net
-  |> List.filter (fun (id, _) -> owns id)
-  |> List.map (fun (id, sw) -> switch_fp id sw)
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-type tpp_totals = {
-  t_execs : int;
-  t_faults : int;
-  t_cycles : int;
-  t_hits : int;    (* per-switch compile-cache hits, observability only *)
-  t_misses : int;
-}
-
-let tpp_zero = { t_execs = 0; t_faults = 0; t_cycles = 0; t_hits = 0; t_misses = 0 }
-
-let tpp_add a b =
-  {
-    t_execs = a.t_execs + b.t_execs;
-    t_faults = a.t_faults + b.t_faults;
-    t_cycles = a.t_cycles + b.t_cycles;
-    t_hits = a.t_hits + b.t_hits;
-    t_misses = a.t_misses + b.t_misses;
-  }
-
-let tpp_totals_of ~owns net =
-  Net.switches net
-  |> List.filter (fun (id, _) -> owns id)
-  |> List.fold_left
-       (fun acc (_, sw) ->
-         let st = Switch.state sw in
-         tpp_add acc
-           {
-             t_execs = st.SS.tpp_execs;
-             t_faults = st.SS.tpp_faults;
-             t_cycles = st.SS.tpp_cycles;
-             t_hits = st.SS.tpp_compile_hits;
-             t_misses = st.SS.tpp_compile_misses;
-           })
-       tpp_zero
-
-(* Instructions actually executed: every exec costs 4 fill cycles plus
-   one cycle per instruction, so the instruction count falls out of the
-   two counters the ASIC already keeps. *)
-let instrs_of t = t.t_cycles - (4 * t.t_execs)
-
-type heavy_run = {
-  h_events : int;
-  h_delivered : int;
-  h_wall : float;
-  h_minor_pe : float;
-  h_promoted_pe : float;
-  h_totals : tpp_totals;
-  h_fp : (int * int list) list;
-}
-
-let run_heavy_sequential cfg ~backend =
-  Tcpu.set_default_backend backend;
-  let eng = Engine.create () in
-  let net = build cfg eng in
-  setup_heavy_traffic cfg ~owns:(fun _ -> true) net;
-  let g0 = gc_mark () in
-  let t0 = Unix.gettimeofday () in
-  Engine.run eng ~until:horizon;
-  let wall = Unix.gettimeofday () -. t0 in
-  let minor, promoted = gc_delta g0 in
-  Tcpu.set_default_backend Tcpu.Compiled;
-  let events = Engine.events_processed eng in
-  {
-    h_events = events;
-    h_delivered = Net.frames_delivered net;
-    h_wall = wall;
-    h_minor_pe = per_event minor events;
-    h_promoted_pe = per_event promoted events;
-    h_totals = tpp_totals_of ~owns:(fun _ -> true) net;
-    h_fp = net_fp ~owns:(fun _ -> true) net;
-  }
-
-let run_heavy_parallel cfg ~shards =
-  let marks = Array.make shards (0.0, 0.0) in
-  let t0 = Unix.gettimeofday () in
-  let stats, parts =
-    Parsim.run ~shards ~until:horizon ~build:(build cfg)
-      ~setup:(fun ~shard ~owns net ->
-        setup_heavy_traffic cfg ~owns net;
-        marks.(shard) <- gc_mark_local ())
-      ~collect:(fun ~shard ~owns net ->
-        (tpp_totals_of ~owns net, net_fp ~owns net,
-         gc_delta_local marks.(shard)))
-      ()
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  let totals =
-    Array.fold_left (fun acc (t, _, _) -> tpp_add acc t) tpp_zero parts
-  in
-  let fp =
-    Array.to_list parts
-    |> List.concat_map (fun (_, fp, _) -> fp)
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  let minor = Array.fold_left (fun a (_, _, (m, _)) -> a +. m) 0.0 parts in
-  let promoted = Array.fold_left (fun a (_, _, (_, p)) -> a +. p) 0.0 parts in
-  {
-    h_events = stats.Parsim.events;
-    h_delivered = stats.Parsim.delivered;
-    h_wall = wall;
-    h_minor_pe = per_event minor stats.Parsim.events;
-    h_promoted_pe = per_event promoted stats.Parsim.events;
-    h_totals = totals;
-    h_fp = fp;
-  }
-
-(* Everything architectural must match; wall time and compile counters
-   may differ. Exits non-zero on divergence: a fast wrong TCPU is not a
-   result. *)
-let check_heavy_identity ~label (ref_ : heavy_run) (got : heavy_run) =
-  let fail what a b =
-    Printf.eprintf "perf(tpp-heavy): FAIL — %s: %s differs (%d vs %d)\n" label
-      what a b;
-    exit 1
-  in
-  if ref_.h_events <> got.h_events then fail "events" ref_.h_events got.h_events;
-  if ref_.h_delivered <> got.h_delivered then
-    fail "delivered" ref_.h_delivered got.h_delivered;
-  if ref_.h_totals.t_execs <> got.h_totals.t_execs then
-    fail "tpp_execs" ref_.h_totals.t_execs got.h_totals.t_execs;
-  if ref_.h_totals.t_faults <> got.h_totals.t_faults then
-    fail "tpp_faults" ref_.h_totals.t_faults got.h_totals.t_faults;
-  if ref_.h_totals.t_cycles <> got.h_totals.t_cycles then
-    fail "tpp_cycles" ref_.h_totals.t_cycles got.h_totals.t_cycles;
-  if ref_.h_fp <> got.h_fp then begin
-    Printf.eprintf
-      "perf(tpp-heavy): FAIL — %s: switch register fingerprints differ\n" label;
-    exit 1
-  end
-
-let git_commit () =
-  try
-    let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-    let line = try String.trim (input_line ic) with End_of_file -> "" in
-    ignore (Unix.close_process_in ic);
-    if line = "" then "unknown" else line
-  with _ -> "unknown"
-
-let wire_check_name = function
-  | `Always -> "always"
-  | `Cached -> "cached"
-  | `Off -> "off"
-
-let workload_of cfg =
-  Printf.sprintf
-    "fat-tree k=%d (ECMP), %d hosts x %d TPP-tagged UDP packets, %dB \
-     payload, wire_check=%s"
-    cfg.k
-    (cfg.k * cfg.k * cfg.k / 4)
-    cfg.packets_per_host cfg.payload_bytes
-    (wire_check_name cfg.wire_check)
-
-let heavy_workload_of cfg =
-  let program_len =
-    Array.length
-      (Result.get_ok (Asm.to_tpp ~mem_len:32 heavy_program)).Prog.program
-  in
-  Printf.sprintf
-    "fat-tree k=%d (ECMP), %d hosts x %d UDP packets, %d-instr TPP per hop \
-     (1 in 16 packets faulting), %dB payload, wire_check=%s"
-    cfg.k
-    (cfg.k * cfg.k * cfg.k / 4)
-    cfg.packets_per_host program_len cfg.payload_bytes
-    (wire_check_name cfg.wire_check)
-
-let write_heavy_json cfg ~out ~interp ~comp ~par ~shards ~speedup
-    ~(cache : Tcpu_compile.cache_stats) =
-  let sent = cfg.k * cfg.k * cfg.k / 4 * cfg.packets_per_host in
-  let instrs = instrs_of comp.h_totals in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": 3,\n\
-    \  \"workload\": \"%s\",\n\
-    \  \"git_commit\": \"%s\",\n\
-    \  \"ocaml\": \"%s\",\n\
-    \  \"cores\": %d,\n\
-    \  \"events\": %d,\n\
-    \  \"packets_sent\": %d,\n\
-    \  \"packets_delivered\": %d,\n\
-    \  \"tpp_execs\": %d,\n\
-    \  \"tpp_faults\": %d,\n\
-    \  \"tpp_instrs\": %d,\n\
-    \  \"interpreter_wall_s\": %.6f,\n\
-    \  \"interpreter_instrs_per_sec\": %.1f,\n\
-    \  \"compiled_wall_s\": %.6f,\n\
-    \  \"compiled_instrs_per_sec\": %.1f,\n\
-    \  \"minor_words_per_event\": %.3f,\n\
-    \  \"promoted_words_per_event\": %.4f,\n\
-    \  \"speedup\": %.3f,\n\
-    \  \"identical_to_interpreter\": true,\n\
-    \  \"sharded\": { \"shards\": %d, \"wall_s\": %.6f, \"identical\": true },\n\
-    \  \"cache\": { \"programs\": %d, \"hits\": %d, \"misses\": %d }\n\
-     }\n"
-    (heavy_workload_of cfg) (git_commit ()) Sys.ocaml_version
-    (Domain.recommended_domain_count ())
-    comp.h_events sent comp.h_delivered comp.h_totals.t_execs
-    comp.h_totals.t_faults instrs interp.h_wall
-    (float_of_int instrs /. interp.h_wall)
-    comp.h_wall
-    (float_of_int instrs /. comp.h_wall)
-    comp.h_minor_pe comp.h_promoted_pe
-    speedup shards par.h_wall cache.Tcpu_compile.programs
-    cache.Tcpu_compile.hits cache.Tcpu_compile.misses;
-  close_out oc;
-  Printf.printf "perf: wrote %s\n%!" out
-
-(* The BENCH_3 gate: same heavy workload under the interpreter, the
-   compiled backend, and a sharded compiled run. Identity is mandatory;
-   the >= 2x instruction-throughput target is reported (and written to
-   the JSON) but only warned about, like BENCH_2's core-count caveat. *)
-let tpp_heavy cfg =
-  let cfg =
-    if cfg.smoke then { cfg with k = 4; packets_per_host = 150 } else cfg
-  in
-  let tag = if cfg.smoke then "perf(tpp-heavy smoke)" else "perf(tpp-heavy)" in
-  Printf.printf "%s: %s\n%!" tag (heavy_workload_of cfg);
-  Tcpu_compile.clear_cache ();
-  let interp = run_heavy_sequential cfg ~backend:Tcpu.Interpreter in
-  Tcpu_compile.clear_cache ();
-  let comp = run_heavy_sequential cfg ~backend:Tcpu.Compiled in
-  let cache = Tcpu_compile.cache_stats () in
-  check_heavy_identity ~label:"compiled vs interpreter" interp comp;
-  let shards = if cfg.smoke then 2 else if cfg.shards > 0 then cfg.shards else 4 in
-  let par = run_heavy_parallel cfg ~shards in
-  check_heavy_identity
-    ~label:(Printf.sprintf "%d-shard compiled vs interpreter" shards)
-    interp par;
-  let instrs = instrs_of comp.h_totals in
-  let speedup = interp.h_wall /. comp.h_wall in
-  Printf.printf
-    "%s: %d events, %d delivered, %d TPP execs (%d faulted), %d instructions\n\
-     %s: interpreter %.3fs (%.3e instrs/sec)\n\
-     %s: compiled    %.3fs (%.3e instrs/sec)  speedup %.2fx\n\
-     %s: %d-shard compiled %.3fs — identical registers\n\
-     %s: cache %d program(s), %d hits / %d misses; per-switch linked \
-     hits %d / misses %d\n%!"
-    tag comp.h_events comp.h_delivered comp.h_totals.t_execs
-    comp.h_totals.t_faults instrs tag interp.h_wall
-    (float_of_int instrs /. interp.h_wall)
-    tag comp.h_wall
-    (float_of_int instrs /. comp.h_wall)
-    speedup tag shards par.h_wall tag cache.Tcpu_compile.programs
-    cache.Tcpu_compile.hits cache.Tcpu_compile.misses comp.h_totals.t_hits
-    comp.h_totals.t_misses;
-  Printf.printf
-    "%s: OK — compiled backend matches the interpreter bit-for-bit\n%!" tag;
-  if not cfg.smoke then begin
-    let out = match cfg.out with Some o -> o | None -> "BENCH_3.json" in
-    write_heavy_json cfg ~out ~interp ~comp ~par ~shards ~speedup ~cache;
-    if speedup < 2.0 then
-      Printf.printf
-        "%s: WARNING — speedup %.2fx below the 2x target on this machine\n%!"
-        tag speedup
-  end
-
-let write_json cfg ~out r =
-  let sent = cfg.k * cfg.k * cfg.k / 4 * cfg.packets_per_host in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": %d,\n\
-    \  \"workload\": \"%s\",\n\
-    \  \"shards\": %d,\n\
-    \  \"git_commit\": \"%s\",\n\
-    \  \"ocaml\": \"%s\",\n\
-    \  \"cores\": %d,\n\
-    \  \"events\": %d,\n\
-    \  \"packets_sent\": %d,\n\
-    \  \"packets_delivered\": %d,\n\
-    \  \"rounds\": %d,\n\
-    \  \"boundary_messages\": %d,\n\
-    \  \"cut_links\": %d,\n\
-    \  \"lookahead_ns\": %d,\n\
-    \  \"wall_s\": %.6f,\n\
-    \  \"events_per_sec\": %.1f,\n\
-    \  \"packets_per_sec\": %.1f,\n\
-    \  \"minor_words_per_event\": %.3f,\n\
-    \  \"promoted_words_per_event\": %.4f\n\
-     }\n"
-    (if cfg.shards > 0 then 2 else 1)
-    (workload_of cfg) cfg.shards (git_commit ()) Sys.ocaml_version
-    (Domain.recommended_domain_count ())
-    r.events sent r.delivered r.rounds r.messages r.cut_links r.lookahead_ns
-    r.wall
-    (float_of_int r.events /. r.wall)
-    (float_of_int r.delivered /. r.wall)
-    r.minor_pe r.promoted_pe;
-  close_out oc;
-  Printf.printf "perf: wrote %s\n%!" out
-
-(* A fast cross-check for CI: the sequential engine and an N-shard
-   parallel run of a small fabric must agree on every count and every
-   switch register. Honors --shards (default 2) so CI can probe the
-   wider merge paths cheaply. Bit-identity only — never speed: the
-   speedup gate lives in the full --shards bench, behind a core-count
-   probe. *)
-let smoke cfg =
-  let shards = if cfg.shards > 0 then cfg.shards else 2 in
-  let cfg = { cfg with k = 4; packets_per_host = 200 } in
-  Printf.printf "perf(smoke): %s, %d shards\n%!" (workload_of cfg) shards;
-  let eng = Engine.create () in
-  let net = build cfg eng in
-  setup_traffic cfg ~owns:(fun _ -> true) net;
-  let t0 = Unix.gettimeofday () in
-  Engine.run eng ~until:horizon;
-  let s_wall = Unix.gettimeofday () -. t0 in
-  let s_events = Engine.events_processed eng in
-  let s_delivered = Net.frames_delivered net in
-  let s_fp = net_fp ~owns:(fun _ -> true) net in
-  let t0 = Unix.gettimeofday () in
-  let stats, parts =
-    Parsim.run ~shards ~until:horizon ~build:(build cfg)
-      ~setup:(fun ~shard:_ ~owns net -> setup_traffic cfg ~owns net)
-      ~collect:(fun ~shard:_ ~owns net -> net_fp ~owns net)
-      ()
-  in
-  let p_wall = Unix.gettimeofday () -. t0 in
-  let p_fp =
-    Array.to_list parts |> List.concat
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  Printf.printf
-    "perf(smoke): sequential %d events / %d delivered (%.3fs), %d-shard %d \
-     events / %d delivered (%.3fs, %d rounds, %d boundary frames in %d \
-     chunks)\n%!"
-    s_events s_delivered s_wall shards stats.Parsim.events
-    stats.Parsim.delivered p_wall stats.Parsim.rounds stats.Parsim.messages
-    stats.Parsim.chunks;
-  if s_events <> stats.Parsim.events || s_delivered <> stats.Parsim.delivered
-  then begin
-    Printf.eprintf "perf(smoke): FAIL — parallel run diverged from sequential\n";
-    exit 1
-  end;
-  if s_fp <> p_fp then begin
-    Printf.eprintf
-      "perf(smoke): FAIL — switch register fingerprints differ from \
-       sequential\n";
-    exit 1
-  end;
-  if stats.Parsim.boundary_outstanding <> 0 then begin
-    Printf.eprintf
-      "perf(smoke): FAIL — %d boundary frames never returned to their pools\n"
-      stats.Parsim.boundary_outstanding;
-    exit 1
-  end;
-  Printf.printf
-    "perf(smoke): OK — %d-shard run bit-identical to sequential (registers \
-     included), boundary pools drained\n%!"
-    shards
-
-(* ---- chaos workload (BENCH_4): the fault-injection gate ------------
-
-   Two properties the Fault subsystem must never lose:
-
-   1. Zero cost when unattached. The dataplane consults the fault hooks
-      only when a schedule is installed, and an installed-but-empty
-      schedule must not change a single count (and must cost next to
-      nothing in wall time).
-
-   2. Determinism under sharding. A chaotic schedule — flap, loss,
-      corruption, freeze-restart, degradation all at once — must yield
-      bit-identical event/delivery/fault counts whether the run is
-      sequential or sharded.
-
-   The faulted cables are host access links plus the edge switch above
-   host 1: these carry traffic by construction, where an arbitrary core
-   uplink may be starved by ECMP hashing. Fault windows scale with the
-   send span so every rule fires at any --packets setting. *)
-
+(* The chaotic fault schedule (BENCH_4): flap, loss, corruption,
+   freeze-restart and degradation at once. The faulted cables are host
+   access links plus the edge switch above host 1: these carry traffic
+   by construction, where an arbitrary core uplink may be starved by
+   ECMP hashing. Fault windows scale with the send span so every rule
+   fires at any --packets setting. *)
 let chaos_seed = 4242
 
 let chaos_schedule cfg net =
@@ -704,775 +290,440 @@ let chaos_schedule cfg net =
   Fault.attach f net;
   f
 
-let fault_fp (s : Fault.stats) =
-  [
-    s.Fault.lost_down; s.Fault.dropped; s.Fault.corrupt_header;
-    s.Fault.corrupt_fcs; s.Fault.frozen_arrivals; s.Fault.restarts;
-  ]
+let fault_keys =
+  [ "lost_down"; "dropped"; "corrupt_header"; "corrupt_fcs"; "frozen_arrivals"; "restarts" ]
 
-let fault_fp_add = List.map2 ( + )
+(* ---- the harness -------------------------------------------------------- *)
 
-(* Sequential run with an arbitrary fault setup applied post-build. *)
-let run_sequential_faulted ?scheduler cfg ~fault =
-  let eng = Engine.create ?scheduler () in
-  let net = build cfg eng in
-  let f = fault net in
-  setup_traffic cfg ~owns:(fun _ -> true) net;
-  let g0 = gc_mark () in
-  let t0 = Unix.gettimeofday () in
-  Engine.run eng ~until:horizon;
-  let wall = Unix.gettimeofday () -. t0 in
-  let minor, promoted = gc_delta g0 in
-  let events = Engine.events_processed eng in
-  ( { events; delivered = Net.frames_delivered net; wall;
-      minor_pe = per_event minor events;
-      promoted_pe = per_event promoted events;
-      rounds = 0; messages = 0; cut_links = 0; lookahead_ns = 0 },
-    f )
+(* Counters every fabric run harvests, summed over shards. [execs], [tpp_faults], [cycles]
+   and [faults] are architectural; the compile hit/miss split and the pool counts
+   legitimately vary with the shard layout. *)
+type tally = {
+  execs : int; tpp_faults : int; cycles : int;  (* TPP executions *)
+  hits : int; misses : int;                      (* compile cache, per switch *)
+  created : int; reused : int; outstanding : int;  (* traffic-pool frames *)
+  faults : int list;  (* Fault.stats in [fault_keys] order; zeros if none *)
+  fib_entries : int; switches : int;
+}
 
-let run_parallel_chaos ?scheduler cfg ~shards =
-  let faults = Array.make shards None in
-  let marks = Array.make shards (0.0, 0.0) in
-  let t0 = Unix.gettimeofday () in
-  let stats, per_shard =
-    Parsim.run ?scheduler ~shards ~until:horizon ~build:(build cfg)
-      ~setup:(fun ~shard ~owns net ->
-        faults.(shard) <- Some (chaos_schedule cfg net);
-        setup_traffic cfg ~owns net;
-        marks.(shard) <- gc_mark_local ())
-      ~collect:(fun ~shard ~owns:_ _ ->
-        (fault_fp (Fault.stats (Option.get faults.(shard))),
-         gc_delta_local marks.(shard)))
-      ()
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  let fp =
-    Array.fold_left
-      (fun acc (f, _) -> fault_fp_add acc f)
-      [ 0; 0; 0; 0; 0; 0 ] per_shard
-  in
-  let minor = Array.fold_left (fun a (_, (m, _)) -> a +. m) 0.0 per_shard in
-  let promoted = Array.fold_left (fun a (_, (_, p)) -> a +. p) 0.0 per_shard in
-  ( { events = stats.Parsim.events; delivered = stats.Parsim.delivered; wall;
-      minor_pe = per_event minor stats.Parsim.events;
-      promoted_pe = per_event promoted stats.Parsim.events;
-      rounds = stats.Parsim.rounds; messages = stats.Parsim.messages;
-      cut_links = stats.Parsim.cut_links; lookahead_ns = stats.Parsim.lookahead },
-    fp )
+let add_tally a b =
+  { execs = a.execs + b.execs; tpp_faults = a.tpp_faults + b.tpp_faults;
+    cycles = a.cycles + b.cycles; hits = a.hits + b.hits; misses = a.misses + b.misses;
+    created = a.created + b.created; reused = a.reused + b.reused;
+    outstanding = a.outstanding + b.outstanding; faults = List.map2 ( + ) a.faults b.faults;
+    fib_entries = a.fib_entries + b.fib_entries; switches = a.switches + b.switches }
 
-let write_chaos_json cfg ~out ~base ~empty ~(chaotic : outcome)
-    ~(stats : Fault.stats) ~shards ~par_wall =
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": 4,\n\
-    \  \"workload\": \"%s\",\n\
-    \  \"git_commit\": \"%s\",\n\
-    \  \"ocaml\": \"%s\",\n\
-    \  \"cores\": %d,\n\
-    \  \"baseline_wall_s\": %.6f,\n\
-    \  \"empty_schedule_wall_s\": %.6f,\n\
-    \  \"empty_schedule_overhead\": %.4f,\n\
-    \  \"chaos_events\": %d,\n\
-    \  \"chaos_delivered\": %d,\n\
-    \  \"chaos_wall_s\": %.6f,\n\
-    \  \"chaos_events_per_sec\": %.1f,\n\
-    \  \"minor_words_per_event\": %.3f,\n\
-    \  \"promoted_words_per_event\": %.4f,\n\
-    \  \"faults\": { \"lost_down\": %d, \"dropped\": %d, \"corrupt_header\": \
-     %d, \"corrupt_fcs\": %d, \"frozen_arrivals\": %d, \"restarts\": %d },\n\
-    \  \"sharded\": { \"shards\": %d, \"wall_s\": %.6f, \"identical\": true }\n\
-     }\n"
-    (workload_of cfg) (git_commit ()) Sys.ocaml_version
-    (Domain.recommended_domain_count ())
-    base.wall empty.wall (empty.wall /. base.wall) chaotic.events
-    chaotic.delivered chaotic.wall
-    (float_of_int chaotic.events /. chaotic.wall)
-    chaotic.minor_pe chaotic.promoted_pe
-    stats.Fault.lost_down stats.Fault.dropped stats.Fault.corrupt_header
-    stats.Fault.corrupt_fcs stats.Fault.frozen_arrivals stats.Fault.restarts
-    shards par_wall;
-  close_out oc;
-  Printf.printf "perf: wrote %s\n%!" out
+let tally ~owns net pools fault =
+  let owned = List.filter (fun (id, _) -> owns id) (Net.switches net) in
+  let sw f = List.fold_left (fun a (_, s) -> a + f (Switch.state s)) 0 owned in
+  let pool f = Array.fold_left (fun a p -> a + f p) 0 pools in
+  Switch_state.
+    { execs = sw (fun st -> st.tpp_execs); tpp_faults = sw (fun st -> st.tpp_faults);
+      cycles = sw (fun st -> st.tpp_cycles); hits = sw (fun st -> st.tpp_compile_hits);
+      misses = sw (fun st -> st.tpp_compile_misses);
+      created = pool Frame.Pool.created; reused = pool Frame.Pool.reused;
+      outstanding = pool Frame.Pool.outstanding;
+      faults =
+        Option.fold (Option.map Fault.stats fault) ~none:(List.map (fun _ -> 0) fault_keys)
+          ~some:(fun s -> Fault.[ s.lost_down; s.dropped; s.corrupt_header; s.corrupt_fcs;
+                                 s.frozen_arrivals; s.restarts ]);
+      fib_entries = List.fold_left (fun a (_, s) -> a + Switch.l3_size s) 0 owned;
+      switches = List.length owned }
 
-let chaos cfg =
-  let cfg =
-    if cfg.smoke then { cfg with k = 4; packets_per_host = 200 } else cfg
-  in
-  let tag = if cfg.smoke then "perf(chaos smoke)" else "perf(chaos)" in
-  Printf.printf "%s: %s\n%!" tag (workload_of cfg);
-  (* 1. Zero cost when unattached: an empty schedule changes nothing.
-     Best of two runs each, so a scheduler hiccup on a short smoke run
-     cannot fake a regression. *)
-  let best_of_two run =
-    let a = run () in
-    let b = run () in
-    if b.wall < a.wall then b else a
-  in
-  let base = best_of_two (fun () -> run_sequential cfg) in
-  let empty =
-    best_of_two (fun () ->
-        fst
-          (run_sequential_faulted cfg ~fault:(fun net ->
-               let f = Fault.create ~seed:1 in
-               Fault.attach f net;
-               f)))
-  in
-  if base.events <> empty.events || base.delivered <> empty.delivered then begin
-    Printf.eprintf
-      "%s: FAIL — empty fault schedule changed counts (%d/%d events, %d/%d \
-       delivered)\n"
-      tag base.events empty.events base.delivered empty.delivered;
-    exit 1
-  end;
-  let overhead = empty.wall /. base.wall in
-  Printf.printf
-    "%s: baseline %.3fs, empty schedule attached %.3fs (%.2fx)\n%!" tag
-    base.wall empty.wall overhead;
-  if overhead > 1.5 then begin
-    Printf.eprintf
-      "%s: FAIL — empty fault schedule costs %.2fx (budget 1.5x)\n" tag
-      overhead;
-    exit 1
-  end;
-  (* 2. Determinism under sharding: full chaos, sequential vs sharded. *)
-  let chaotic, f = run_sequential_faulted cfg ~fault:(chaos_schedule cfg) in
-  let stats = Fault.stats f in
-  Printf.printf
-    "%s: chaotic run %d events, %d delivered in %.3fs\n\
-     %s: lost_down=%d dropped=%d corrupt=%d+%d frozen=%d restarts=%d\n%!"
-    tag chaotic.events chaotic.delivered chaotic.wall tag
-    stats.Fault.lost_down stats.Fault.dropped stats.Fault.corrupt_header
-    stats.Fault.corrupt_fcs stats.Fault.frozen_arrivals stats.Fault.restarts;
-  if
-    stats.Fault.lost_down = 0 || stats.Fault.dropped = 0
-    || stats.Fault.corrupt_header + stats.Fault.corrupt_fcs = 0
-    || stats.Fault.frozen_arrivals = 0 || stats.Fault.restarts <> 1
-  then begin
-    Printf.eprintf "%s: FAIL — some fault class never fired\n" tag;
-    exit 1
-  end;
-  let shards = if cfg.smoke then 2 else if cfg.shards > 0 then cfg.shards else 4 in
-  let par, par_fp = run_parallel_chaos cfg ~shards in
-  if
-    chaotic.events <> par.events
-    || chaotic.delivered <> par.delivered
-    || fault_fp stats <> par_fp
-  then begin
-    Printf.eprintf
-      "%s: FAIL — %d-shard chaotic run diverged from sequential\n" tag shards;
-    exit 1
-  end;
-  Printf.printf
-    "%s: OK — empty schedule free, %d-shard chaos identical to sequential \
-     (%.3fs)\n%!"
-    tag shards par.wall;
+type 'a scenario = {
+  build : Engine.t -> Net.t;
+      (* the same topology on any engine: Parsim builds once per shard and once to partition *)
+  traffic : owns:(int -> bool) -> Net.t -> unit -> 'a;
+      (* schedules the owned hosts' workload (a fault schedule first, if any) and returns the
+         harvest, which runs after the simulation on the same domain *)
+  until : Time_ns.t;
+  merge : 'a -> 'a -> 'a;  (* combines per-shard harvests *)
+}
+
+type 'a outcome = {
+  events : int; delivered : int;
+  wall : float;  (* sequential: Engine.run; sharded: the whole Parsim.run *)
+  minor_pe : float; promoted_pe : float;  (* words allocated/promoted per event *)
+  fp : (int * int list) list;  (* Net.fingerprint, ascending switch id *)
+  harvest : 'a;
+  par : Parsim.stats option;  (* [Some] for a sharded run *)
+}
+
+let build ?addressing ?fib cfg eng =
+  (Topology.fat_tree eng ~wire_check:cfg.wire_check ~ecmp:true ?addressing ?fib ~k:cfg.k
+     ~bps:10_000_000_000 ~delay:(Time_ns.us 1) ()).Topology.f_net
+
+(* A fabric (the fat-tree unless [topo]) carrying [load], a fault schedule attached first. *)
+let fabric cfg ?(topo = build cfg) ?fault load =
+  { build = topo; until = horizon; merge = add_tally;
+    traffic = (fun ~owns net ->
+        let f = Option.map (fun mk -> mk net) fault in
+        let pools = schedule_load cfg load ~owns net in
+        fun () -> tally ~owns net pools f) }
+
+let outcome ~events ~delivered ~wall (minor, promoted) fp harvest par =
+  { events; delivered; wall; minor_pe = per_event minor events;
+    promoted_pe = per_event promoted events; fp; harvest; par }
+
+let run ?shards sc =
+  match shards with
+  | None ->
+    let eng = Engine.create () in
+    let net = sc.build eng in
+    let harvest = sc.traffic ~owns:(fun _ -> true) net in
+    let g0 = gc_mark () and t0 = Unix.gettimeofday () in
+    Engine.run eng ~until:sc.until;
+    let wall = Unix.gettimeofday () -. t0 and gc = gc_delta g0 in
+    outcome ~events:(Engine.events_processed eng) ~delivered:(Net.frames_delivered net) ~wall
+      gc (Net.fingerprint ~owns:(fun _ -> true) net) (harvest ()) None
+  | Some shards ->
+    let marks = Array.make shards (0.0, 0.0) and harvests = Array.make shards None in
+    let t0 = Unix.gettimeofday () in
+    let stats, parts =
+      Parsim.run ~shards ~until:sc.until ~build:sc.build
+        ~setup:(fun ~shard ~owns net ->
+          harvests.(shard) <- Some (sc.traffic ~owns net);
+          marks.(shard) <- gc_mark ())
+        ~collect:(fun ~shard ~owns net ->
+          let gc = gc_delta marks.(shard) in
+          (gc, Net.fingerprint ~owns net, Option.get harvests.(shard) ()))
+        ()
+    in
+    let wall = Unix.gettimeofday () -. t0 in
+    let gcs, fps, hs = Array.fold_right (fun (g, f, h) (gs, fs, hs) -> (g :: gs, f @ fs, h :: hs))
+        parts ([], [], []) in
+    let sum f = List.fold_left (fun a g -> a +. f g) 0.0 gcs in
+    outcome ~events:stats.Parsim.events ~delivered:stats.Parsim.delivered ~wall
+      (sum fst, sum snd) (List.sort (fun (a, _) (b, _) -> compare a b) fps)
+      (List.fold_left sc.merge (List.hd hs) (List.tl hs)) (Some stats)
+
+(* Best of two runs, so a scheduler hiccup on a short run can neither fake nor hide a
+   regression; the runs are deterministic, so either one's counts serve. *)
+let best_of_two f = let a = f () in let b = f () in if b.wall < a.wall then b else a
+
+(* Bit-identity of two fabric runs: event and delivery counts, every switch register, and
+   the architectural TPP and fault counters. *)
+let same tag label (a : tally outcome) (b : tally outcome) =
+  if a.events <> b.events || a.delivered <> b.delivered then
+    fail tag "%s diverged (%d vs %d events, %d vs %d delivered)" label a.events b.events
+      a.delivered b.delivered;
+  if a.fp <> b.fp then fail tag "%s: switch register fingerprints differ" label;
+  let arch t = (t.execs, t.tpp_faults, t.cycles) in
+  if arch a.harvest <> arch b.harvest then
+    fail tag "%s: TPP exec/fault/cycle counts differ" label;
+  if a.harvest.faults <> b.harvest.faults then
+    fail tag "%s: fault counts differ ([%s] vs [%s])" label
+      (String.concat ";" (List.map string_of_int a.harvest.faults))
+      (String.concat ";" (List.map string_of_int b.harvest.faults))
+
+let print_row tag name r =
+  say tag "fabric %-9s %d events, %d delivered in %.3fs (%.3e ev/s, %.2f minor w/ev)" name
+    r.events r.delivered r.wall (rate r.events r.wall) r.minor_pe
+
+(* Runs [sc] sharded and checks it against the sequential [seq]. *)
+let sharded tag ~shards what sc seq =
+  let par = run ~shards sc in
+  same tag (Printf.sprintf "%d-shard %s" shards what) seq par;
+  par
+
+(* Sequential (best of two when [best]) and sharded runs of [load] on [cfg]'s fat-tree:
+   bit-identical, and every traffic-pool and boundary frame back in its pool at the end. *)
+let seq_vs_sharded ?(best = false) tag ~shards cfg load =
+  let sc = fabric cfg load in
+  let seq = if best then best_of_two (fun () -> run sc) else run sc in
+  let par = sharded tag ~shards (Printf.sprintf "k=%d run" cfg.k) sc seq in
+  let st = Option.get par.par in
+  if par.harvest.outstanding <> 0 || st.Parsim.boundary_outstanding <> 0 then
+    fail tag "k=%d: %d traffic-pool and %d boundary frames never returned to their pools" cfg.k
+      par.harvest.outstanding st.Parsim.boundary_outstanding;
+  (seq, par, st)
+
+(* One run's keys as the BENCH files name them, minus [drop]. *)
+let run_keys ?(drop = []) r =
+  List.filter (fun (k, _) -> not (List.mem k drop))
+    [ ("events", int r.events); ("packets_delivered", int r.delivered); ("wall_s", fixed 6 r.wall);
+      ("events_per_sec", fixed 1 (rate r.events r.wall));
+      ("minor_words_per_event", fixed 3 r.minor_pe);
+      ("promoted_words_per_event", fixed 4 r.promoted_pe) ]
+
+let pool_json t =
+  Obj [ ("created", int t.created); ("reused", int t.reused); ("outstanding", int t.outstanding) ]
+
+(* A gate's preamble: smoke sizing (unless [sized]), its tag, and the workload line. *)
+let start ?(sized = smoke_size) ?(suffix = "") cfg name load =
+  let cfg = sized cfg in
+  let tag = tag_of cfg name and workload = workload_of cfg load ^ suffix in
+  say tag "%s" workload;
+  (cfg, tag, workload)
+
+(* ---- BENCH_1: the sequential packet-rate run ------------------------ *)
+
+let rate_bench cfg =
+  let sent = hosts cfg * cfg.packets_per_host in
+  let tag = "perf" and workload = workload_of cfg tagged in
+  say tag "%s" workload;
+  let r = run (fabric cfg tagged) in
+  say tag "%d events, %d/%d packets delivered in %.3fs wall" r.events r.delivered sent r.wall;
+  say tag "%.3e events/sec, %.3e packets/sec" (rate r.events r.wall) (rate r.delivered r.wall);
+  say tag "%.2f minor words/event, %.4f promoted words/event" r.minor_pe r.promoted_pe;
+  (* A sequential run: the boundary keys are BENCH_2's, zero here. *)
+  write_json (out_path cfg 1)
+    (Obj (header ~bench:1 ~workload
+          @ [ ("shards", int 0); ("packets_sent", int sent); ("rounds", int 0);
+              ("boundary_messages", int 0); ("cut_links", int 0); ("lookahead_ns", int 0);
+              ("packets_per_sec", fixed 1 (rate r.delivered r.wall)) ]
+          @ run_keys r))
+
+(* ---- --smoke: sequential vs sharded bit-identity --------------------
+
+   A fast cross-check for CI: the sequential engine and an N-shard run
+   of a small fabric must agree on every count and every switch
+   register. Honors --shards (default 2) so CI can probe the wider merge
+   paths cheaply. Bit-identity only — never speed: the speedup gate
+   lives in the full --shards bench, behind a core-count probe. *)
+
+let smoke cfg =
+  let shards = if cfg.shards > 0 then cfg.shards else 2 in
+  let cfg = { cfg with k = 4; packets_per_host = 200 } in
+  let tag = "perf(smoke)" in
+  say tag "%s, %d shards" (workload_of cfg tagged) shards;
+  let s, p, st = seq_vs_sharded tag ~shards cfg tagged in
+  say tag
+    "sequential %d events / %d delivered (%.3fs), %d-shard %d events / %d delivered (%.3fs, %d \
+     rounds, %d boundary frames in %d chunks)"
+    s.events s.delivered s.wall shards p.events p.delivered p.wall st.Parsim.rounds
+    st.Parsim.messages st.Parsim.chunks;
+  say tag "OK — %d-shard run bit-identical to sequential (registers included), boundary pools \
+           drained" shards
+
+(* ---- BENCH_3: the TCPU compilation gate -------------------------------
+
+   The heavy workload under the interpreter, the compiled backend, and a
+   sharded compiled run. Every architectural observable — events,
+   deliveries, faults, execs, cycles, switch registers, SRAM — must be
+   bit-identical; the >= 2x instruction-throughput target is reported
+   (and written to the JSON) but only warned about. *)
+
+let tpp_heavy cfg =
+  let sized cfg = if cfg.smoke then { cfg with k = 4; packets_per_host = 150 } else cfg in
+  let cfg, tag, workload = start ~sized cfg "tpp-heavy" heavy in
+  let sc = fabric cfg heavy in
+  let backend b = Tcpu_compile.clear_cache (); Tcpu.set_default_backend b; run sc in
+  let interp = backend Tcpu.Interpreter in
+  let comp = backend Tcpu.Compiled in
+  let cache = Tcpu_compile.cache_stats () in
+  same tag "compiled vs interpreter" interp comp;
+  let shards = gate_shards cfg in
+  let par = sharded tag ~shards "compiled vs interpreter" sc interp in
+  let t = comp.harvest in
+  (* Instructions executed: every exec costs 4 fill cycles plus one cycle
+     per instruction, so the count falls out of the ASIC's own counters. *)
+  let n = t.cycles - (4 * t.execs) and speedup = interp.wall /. comp.wall in
+  say tag "%d events, %d delivered, %d TPP execs (%d faulted), %d instructions" comp.events
+    comp.delivered t.execs t.tpp_faults n;
+  say tag "interpreter %.3fs (%.3e instrs/sec)" interp.wall (rate n interp.wall);
+  say tag "compiled    %.3fs (%.3e instrs/sec)  speedup %.2fx" comp.wall (rate n comp.wall) speedup;
+  say tag "%d-shard compiled %.3fs — identical registers" shards par.wall;
+  say tag "cache %d program(s), %d hits / %d misses; per-switch linked hits %d / misses %d"
+    cache.Tcpu_compile.programs cache.Tcpu_compile.hits cache.Tcpu_compile.misses t.hits t.misses;
+  say tag "OK — compiled backend matches the interpreter bit-for-bit";
   if not cfg.smoke then begin
-    let out = match cfg.out with Some o -> o | None -> "BENCH_4.json" in
-    write_chaos_json cfg ~out ~base ~empty ~chaotic ~stats ~shards
-      ~par_wall:par.wall
+    write_json (out_path cfg 3)
+      (Obj (header ~bench:3 ~workload @ run_keys ~drop:[ "wall_s"; "events_per_sec" ] comp
+            @ [ ("packets_sent", int (hosts cfg * cfg.packets_per_host));
+                ("tpp_execs", int t.execs); ("tpp_faults", int t.tpp_faults); ("tpp_instrs", int n);
+                ("interpreter_wall_s", fixed 6 interp.wall);
+                ("interpreter_instrs_per_sec", fixed 1 (rate n interp.wall));
+                ("compiled_wall_s", fixed 6 comp.wall);
+                ("compiled_instrs_per_sec", fixed 1 (rate n comp.wall));
+                ("speedup", fixed 3 speedup); ("identical_to_interpreter", bool true);
+                ("sharded", sharded_json ~shards par.wall);
+                ("cache", Tcpu_compile.(Obj [ ("programs", int cache.programs);
+                                              ("hits", int cache.hits);
+                                              ("misses", int cache.misses) ])) ]));
+    if speedup < 2.0 then
+      say tag "WARNING — speedup %.2fx below the 2x target on this machine" speedup
   end
 
-(* ---- engine workload (BENCH_5): the typed-event / wheel gate --------
+(* ---- BENCH_4: the fault-injection gate ------------------------------
 
-   Three layers of evidence that the allocation-free event core is both
-   faster and exactly equivalent to what it replaced:
+   Two properties the Fault subsystem must never lose:
 
-   1. A scheduler microbench — 64 self-rescheduling tokens, each with
-      its own stride, so the queue always holds 64 pending events at
-      mixed horizons. No network, no frames: pure event-core cost. The
-      typed/wheel core must allocate ~0 minor words per event.
+   1. Zero cost when unattached. The dataplane consults the fault hooks
+      only when a schedule is installed, and an installed-but-empty
+      schedule must not change a single count (and must cost next to
+      nothing in wall time).
 
-   2. The full fabric with plain (untagged) UDP traffic, so the event
-      core rather than the TCPU dominates. Closure+heap reproduces the
-      pre-typed allocation profile; typed+heap and typed+wheel must
-      match it on events, deliveries and every switch register, and
-      typed+wheel must beat it by >= 1.3x.
+   2. Determinism under sharding. The chaotic schedule must yield bit-identical counts and
+      registers whether the run is sequential or sharded. *)
 
-   3. The chaotic schedule of BENCH_4 run sequentially under both
-      schedulers and sharded under the wheel — all bit-identical. *)
+let chaos_bench cfg =
+  let cfg, tag, workload = start cfg "chaos" tagged in
+  let base = best_of_two (fun () -> run (fabric cfg tagged)) in
+  let empty_schedule net = Fault.(let f = create ~seed:1 in attach f net; f) in
+  let empty = best_of_two (fun () -> run (fabric cfg ~fault:empty_schedule tagged)) in
+  same tag "empty fault schedule" base empty;
+  let overhead = empty.wall /. base.wall in
+  say tag "baseline %.3fs, empty schedule attached %.3fs (%.2fx)" base.wall empty.wall overhead;
+  if overhead > 1.5 then fail tag "empty fault schedule costs %.2fx (budget 1.5x)" overhead;
+  let sc = fabric cfg ~fault:(chaos_schedule cfg) tagged in
+  let chaotic = run sc in
+  let faults = chaotic.harvest.faults in
+  say tag "chaotic run %d events, %d delivered in %.3fs" chaotic.events chaotic.delivered
+    chaotic.wall;
+  say tag "%s" (String.concat " " (List.map2 (Printf.sprintf "%s=%d") fault_keys faults));
+  (match faults with
+  | [ down; drop; hdr; fcs; frozen; restarts ] ->
+    if down = 0 || drop = 0 || hdr + fcs = 0 || frozen = 0 || restarts <> 1 then
+      fail tag "some fault class never fired"
+  | _ -> assert false);
+  let shards = gate_shards cfg in
+  let par = sharded tag ~shards "chaotic run" sc chaotic in
+  say tag "OK — empty schedule free, %d-shard chaos identical to sequential (%.3fs)" shards
+    par.wall;
+  if not cfg.smoke then
+    write_json (out_path cfg 4)
+      (Obj (header ~bench:4 ~workload
+            @ [ ("baseline_wall_s", fixed 6 base.wall);
+                ("empty_schedule_wall_s", fixed 6 empty.wall);
+                ("empty_schedule_overhead", fixed 4 overhead); ("chaos_events", int chaotic.events);
+                ("chaos_delivered", int chaotic.delivered); ("chaos_wall_s", fixed 6 chaotic.wall);
+                ("chaos_events_per_sec", fixed 1 (rate chaotic.events chaotic.wall)) ]
+            @ run_keys ~drop:[ "events"; "packets_delivered"; "wall_s"; "events_per_sec" ] chaotic
+            @ [ ("faults", Obj (List.map2 (fun k v -> (k, int v)) fault_keys faults));
+                ("sharded", sharded_json ~shards par.wall) ]))
 
-let setup_plain_traffic cfg ~owns net =
-  let hosts = Array.of_list (Net.hosts net) in
-  let n = Array.length hosts in
-  let eng = Net.engine net in
-  let payload = Bytes.create cfg.payload_bytes in
-  let send src =
-    let dst = hosts.((src + (n / 2)) mod n) in
-    let s = hosts.(src) in
-    let frame =
-      Frame.udp_frame ~src_mac:s.Net.mac ~dst_mac:dst.Net.mac ~src_ip:s.Net.ip
-        ~dst_ip:dst.Net.ip ~src_port:(1000 + src) ~dst_port:7 ~payload ()
-    in
-    Net.host_send net s frame
-  in
-  (* Self-scheduling sends: host [src]'s thunk sends packet [j], then
-     schedules packet [j+1] at the same timestamp formula the old
-     schedule-everything-up-front loop used — the simulated workload is
-     unchanged. What changes is residency: pre-scheduling parks
-     hosts x packets closures and wheel entries for the whole run,
-     which at fat-tree scale is tens of MB of cold slab that every
-     wheel cascade walks and the GC's mark phase chews through.
-     Lazily, the wheel holds one pending send per host plus the
-     in-flight dataplane events, and stays cache-resident. *)
-  let rec tick src j () =
-    send src;
-    let j = j + 1 in
-    if j < cfg.packets_per_host then
-      Engine.at eng ((j * cfg.gap_ns) + (src * 7) + 1) (tick src j)
-  in
-  for src = 0 to n - 1 do
-    if owns hosts.(src).Net.node_id && cfg.packets_per_host > 0 then
-      Engine.at eng ((src * 7) + 1) (tick src 0)
-  done
+(* ---- BENCH_5: the event-core gate ------------------------------------
 
-let engine_core ~scheduler ~typed ~events =
-  let eng = Engine.create ~scheduler () in
+   1. A scheduler microbench — 64 self-rescheduling typed dequeue events, each with its own
+      stride, so the wheel always holds 64 pending events at mixed horizons. No network, no
+      frames: pure event-core cost, which must stay under 0.5 minor words per event.
+   2. The full fabric with plain (untagged) UDP traffic, so the event core rather than the
+      TCPU dominates: throughput and allocation.
+   3. The chaotic schedule of BENCH_4, sequential vs sharded: identical.
+
+   The wheel's ordering contract is checked against the binary heap by the QCheck
+   properties in test/test_util.ml. *)
+
+let engine_core ~events =
+  let eng = Engine.create () in
   let budget = ref events in
   let stride node = 1 + ((node * 7919) land 0xFFFF) in
-  (if typed then begin
-     let rec h =
-       { Engine.on_deliver = (fun ~node:_ ~port:_ _ -> ());
-         on_dequeue =
-           (fun ~node ~port ->
-             if !budget > 0 then begin
-               decr budget;
-               Engine.dequeue_at eng (Engine.now eng + stride node) h ~node
-                 ~port
-             end);
-         on_restart = (fun ~node:_ -> ()) }
-     in
-     for node = 0 to 63 do
-       Engine.dequeue_at eng (stride node) h ~node ~port:0
-     done
-   end
-   else
-     let rec tick node () =
-       if !budget > 0 then begin
-         decr budget;
-         Engine.at eng (Engine.now eng + stride node) (tick node)
-       end
-     in
-     for node = 0 to 63 do
-       Engine.at eng (stride node) (tick node)
-     done);
-  let g0 = gc_mark () in
-  let t0 = Unix.gettimeofday () in
+  let rec h =
+    { Engine.on_deliver = (fun ~node:_ ~port:_ _ -> ());
+      on_restart = (fun ~node:_ -> ());
+      on_dequeue = (fun ~node ~port ->
+          if !budget > 0 then begin
+            decr budget;
+            Engine.dequeue_at eng (Engine.now eng + stride node) h ~node ~port
+          end) }
+  in
+  for node = 0 to 63 do Engine.dequeue_at eng (stride node) h ~node ~port:0 done;
+  let g0 = gc_mark () and t0 = Unix.gettimeofday () in
   Engine.run eng ~until:max_int;
-  let wall = Unix.gettimeofday () -. t0 in
-  let minor, promoted = gc_delta g0 in
+  let wall = Unix.gettimeofday () -. t0 and minor, promoted = gc_delta g0 in
   let processed = Engine.events_processed eng in
   (processed, wall, per_event minor processed, per_event promoted processed)
 
-type engine_run = {
-  g_events : int;
-  g_delivered : int;
-  g_wall : float;
-  g_minor_pe : float;
-  g_promoted_pe : float;
-  g_fp : (int * int list) list;
-}
-
-let run_engine_fabric cfg ~scheduler ~event_mode =
-  let eng = Engine.create ~scheduler () in
-  let net = build ~event_mode cfg eng in
-  setup_plain_traffic cfg ~owns:(fun _ -> true) net;
-  let g0 = gc_mark () in
-  let t0 = Unix.gettimeofday () in
-  Engine.run eng ~until:horizon;
-  let wall = Unix.gettimeofday () -. t0 in
-  let minor, promoted = gc_delta g0 in
-  let events = Engine.events_processed eng in
-  { g_events = events; g_delivered = Net.frames_delivered net; g_wall = wall;
-    g_minor_pe = per_event minor events;
-    g_promoted_pe = per_event promoted events;
-    g_fp = net_fp ~owns:(fun _ -> true) net }
-
-let engine_workload_of cfg =
-  Printf.sprintf
-    "fat-tree k=%d (ECMP), %d hosts x %d plain UDP packets, %dB payload, \
-     wire_check=%s"
-    cfg.k
-    (cfg.k * cfg.k * cfg.k / 4)
-    cfg.packets_per_host cfg.payload_bytes
-    (wire_check_name cfg.wire_check)
-
-let write_engine_json cfg ~out ~(base : engine_run) ~(th : engine_run)
-    ~(tw : engine_run) ~core ~core_base ~core_events ~speedup ~shards
-    ~par_wall =
-  let c_ev, c_wall, c_minor, c_prom = core in
-  let b_ev, b_wall, b_minor, _ = core_base in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": 5,\n\
-    \  \"workload\": \"%s\",\n\
-    \  \"git_commit\": \"%s\",\n\
-    \  \"ocaml\": \"%s\",\n\
-    \  \"cores\": %d,\n\
-    \  \"events\": %d,\n\
-    \  \"packets_delivered\": %d,\n\
-    \  \"wall_s\": %.6f,\n\
-    \  \"events_per_sec\": %.1f,\n\
-    \  \"minor_words_per_event\": %.3f,\n\
-    \  \"promoted_words_per_event\": %.4f,\n\
-    \  \"speedup_vs_closure_heap\": %.3f,\n\
-    \  \"baseline\": { \"scheduler\": \"heap\", \"event_mode\": \"closure\",\n\
-    \                \"events\": %d, \"wall_s\": %.6f, \"events_per_sec\": \
-     %.1f,\n\
-    \                \"minor_words_per_event\": %.3f },\n\
-    \  \"typed_heap\": { \"events\": %d, \"wall_s\": %.6f, \
-     \"events_per_sec\": %.1f,\n\
-    \                  \"minor_words_per_event\": %.3f },\n\
-    \  \"core\": { \"events\": %d,\n\
-    \            \"typed_wheel\": { \"processed\": %d, \"wall_s\": %.6f, \
-     \"events_per_sec\": %.1f, \"minor_words_per_event\": %.3f, \
-     \"promoted_words_per_event\": %.4f },\n\
-    \            \"closure_heap\": { \"processed\": %d, \"wall_s\": %.6f, \
-     \"events_per_sec\": %.1f, \"minor_words_per_event\": %.3f } },\n\
-    \  \"sharded_chaos\": { \"shards\": %d, \"wall_s\": %.6f, \"identical\": \
-     true },\n\
-    \  \"identical\": true\n\
-     }\n"
-    (engine_workload_of cfg) (git_commit ()) Sys.ocaml_version
-    (Domain.recommended_domain_count ())
-    tw.g_events tw.g_delivered tw.g_wall
-    (float_of_int tw.g_events /. tw.g_wall)
-    tw.g_minor_pe tw.g_promoted_pe speedup base.g_events base.g_wall
-    (float_of_int base.g_events /. base.g_wall)
-    base.g_minor_pe th.g_events th.g_wall
-    (float_of_int th.g_events /. th.g_wall)
-    th.g_minor_pe core_events c_ev c_wall
-    (float_of_int c_ev /. c_wall)
-    c_minor c_prom b_ev b_wall
-    (float_of_int b_ev /. b_wall)
-    b_minor shards par_wall;
-  close_out oc;
-  Printf.printf "perf: wrote %s\n%!" out
-
 let engine_bench cfg =
-  let cfg =
-    if cfg.smoke then { cfg with k = 4; packets_per_host = 200 } else cfg
-  in
-  let tag = if cfg.smoke then "perf(engine smoke)" else "perf(engine)" in
-  Printf.printf "%s: %s\n%!" tag (engine_workload_of cfg);
-  (* 1. Pure event-core microbench: the typed/wheel core must process
-     events without minor allocation. *)
+  let cfg, tag, workload = start cfg "engine" plain in
   let core_events = if cfg.smoke then 200_000 else 2_000_000 in
-  let ((_, _, b_minor, _) as core_base) =
-    engine_core ~scheduler:`Heap ~typed:false ~events:core_events
-  in
-  let ((_, _, c_minor, _) as core) =
-    engine_core ~scheduler:`Wheel ~typed:true ~events:core_events
-  in
-  let pr name (ev, wall, minor, promoted) =
-    Printf.printf
-      "%s: core %-13s %d events in %.3fs (%.3e ev/s, %.2f minor w/ev, %.4f \
-       promoted w/ev)\n%!"
-      tag name ev wall
-      (float_of_int ev /. wall)
-      minor promoted
-  in
-  pr "closure+heap" core_base;
-  pr "typed+wheel" core;
-  if c_minor > 0.5 then begin
-    Printf.eprintf
-      "%s: FAIL — typed/wheel core allocates %.2f minor words/event (budget \
-       0.5)\n"
-      tag c_minor;
-    exit 1
-  end;
-  if b_minor <= 0.5 then
-    Printf.printf
-      "%s: note — closure/heap core also near-zero alloc (%.2f w/ev)\n%!" tag
-      b_minor;
-  (* 2. Fabric identity and speedup. Best of two runs per variant so a
-     scheduler hiccup cannot fake (or hide) a regression. *)
-  let best_of_two run =
-    let a = run () in
-    let b = run () in
-    if b.g_wall < a.g_wall then b else a
-  in
-  let base =
-    best_of_two (fun () ->
-        run_engine_fabric cfg ~scheduler:`Heap ~event_mode:`Closure)
-  in
-  let th =
-    best_of_two (fun () ->
-        run_engine_fabric cfg ~scheduler:`Heap ~event_mode:`Typed)
-  in
-  let tw =
-    best_of_two (fun () ->
-        run_engine_fabric cfg ~scheduler:`Wheel ~event_mode:`Typed)
-  in
-  let check label (a : engine_run) (b : engine_run) =
-    if a.g_events <> b.g_events || a.g_delivered <> b.g_delivered then begin
-      Printf.eprintf
-        "%s: FAIL — %s diverged from closure+heap (%d/%d events, %d/%d \
-         delivered)\n"
-        tag label a.g_events b.g_events a.g_delivered b.g_delivered;
-      exit 1
-    end;
-    if a.g_fp <> b.g_fp then begin
-      Printf.eprintf
-        "%s: FAIL — %s: switch register fingerprints differ\n" tag label;
-      exit 1
-    end
-  in
-  check "typed+heap" base th;
-  check "typed+wheel" base tw;
-  let fab name (r : engine_run) =
-    Printf.printf
-      "%s: fabric %-13s %d events, %d delivered in %.3fs (%.3e ev/s, %.2f \
-       minor w/ev)\n%!"
-      tag name r.g_events r.g_delivered r.g_wall
-      (float_of_int r.g_events /. r.g_wall)
-      r.g_minor_pe
-  in
-  fab "closure+heap" base;
-  fab "typed+heap" th;
-  fab "typed+wheel" tw;
-  let speedup = base.g_wall /. tw.g_wall in
-  Printf.printf "%s: typed+wheel speedup over closure+heap: %.2fx\n%!" tag
-    speedup;
-  (* 3. Chaos determinism: both schedulers sequentially, wheel sharded. *)
-  let chaotic_w, fw =
-    run_sequential_faulted ~scheduler:`Wheel cfg ~fault:(chaos_schedule cfg)
-  in
-  let chaotic_h, fh =
-    run_sequential_faulted ~scheduler:`Heap cfg ~fault:(chaos_schedule cfg)
-  in
-  if
-    chaotic_w.events <> chaotic_h.events
-    || chaotic_w.delivered <> chaotic_h.delivered
-    || fault_fp (Fault.stats fw) <> fault_fp (Fault.stats fh)
-  then begin
-    Printf.eprintf
-      "%s: FAIL — chaotic run differs between wheel and heap schedulers\n" tag;
-    exit 1
-  end;
-  let shards =
-    if cfg.smoke then 2 else if cfg.shards > 0 then cfg.shards else 4
-  in
-  let par, par_fp = run_parallel_chaos ~scheduler:`Wheel cfg ~shards in
-  if
-    chaotic_w.events <> par.events
-    || chaotic_w.delivered <> par.delivered
-    || fault_fp (Fault.stats fw) <> par_fp
-  then begin
-    Printf.eprintf
-      "%s: FAIL — %d-shard chaotic wheel run diverged from sequential\n\
-       %s:   events %d vs %d, delivered %d vs %d\n\
-       %s:   faults [%s] vs [%s]\n"
-      tag shards tag chaotic_w.events par.events chaotic_w.delivered
-      par.delivered tag
-      (String.concat ";" (List.map string_of_int (fault_fp (Fault.stats fw))))
-      (String.concat ";" (List.map string_of_int par_fp));
-    exit 1
-  end;
-  Printf.printf
-    "%s: OK — typed events and wheel scheduler bit-identical to the \
-     closure/heap baseline (plain, chaotic, %d-shard)\n%!"
-    tag shards;
-  if not cfg.smoke then begin
-    let out = match cfg.out with Some o -> o | None -> "BENCH_5.json" in
-    write_engine_json cfg ~out ~base ~th ~tw ~core ~core_base ~core_events
-      ~speedup ~shards ~par_wall:par.wall;
-    if speedup < 1.3 then
-      Printf.printf
-        "%s: WARNING — speedup %.2fx below the 1.3x target on this machine\n%!"
-        tag speedup
-  end
+  let c_ev, c_wall, c_minor, c_prom = engine_core ~events:core_events in
+  say tag "core typed+wheel %d events in %.3fs (%.3e ev/s, %.2f minor w/ev, %.4f promoted w/ev)"
+    c_ev c_wall (rate c_ev c_wall) c_minor c_prom;
+  if c_minor > 0.5 then
+    fail tag "typed/wheel core allocates %.2f minor words/event (budget 0.5)" c_minor;
+  let tw = best_of_two (fun () -> run (fabric cfg plain)) in
+  print_row tag "typed+wheel" tw;
+  let sc = fabric cfg ~fault:(chaos_schedule cfg) tagged in
+  let shards = gate_shards cfg in
+  let par = sharded tag ~shards "chaotic run" sc (run sc) in
+  say tag "OK — typed event core allocation-free, chaotic run %d-shard identical to sequential"
+    shards;
+  if not cfg.smoke then
+    write_json (out_path cfg 5)
+      (Obj (header ~bench:5 ~workload @ run_keys tw
+            @ [ ("core",
+                 Obj [ ("events", int core_events);
+                       ("typed_wheel",
+                        Obj [ ("processed", int c_ev); ("wall_s", fixed 6 c_wall);
+                              ("events_per_sec", fixed 1 (rate c_ev c_wall));
+                              ("minor_words_per_event", fixed 3 c_minor);
+                              ("promoted_words_per_event", fixed 4 c_prom) ]) ]);
+                ("sharded_chaos", sharded_json ~shards par.wall); ("identical", bool true) ]))
 
-(* ---- flat-frame workload (BENCH_6): the zero-copy frame gate --------
+(* ---- BENCH_6: the zero-copy frame gate -------------------------------
 
-   The flat Bytes-backed frame representation with per-flow pools must
-   be (a) allocation-light — the whole simulator, not just the event
-   core, within 10 minor words per event on the BENCH_5 plain-traffic
-   workload — and (b) observably identical to the unpooled path. The
-   unpooled run allocates a fresh frame per send, exactly the lifecycle
-   the record-frame representation had (and the QCheck differential
-   suite pins the flat codecs to the record codecs byte-for-byte), so
-   it is the oracle: events, deliveries and every switch register must
-   match bit-for-bit on the plain run, under the BENCH_4 chaos
-   schedule, and on a sharded run. Both sides run typed events on the
-   wheel scheduler — the BENCH_5 winner — so the delta measured here is
-   the frame representation and pooling, nothing else. *)
+   Pooled flat frames must be (a) allocation-light — the whole simulator,
+   not just the event core, inside a minor-words/event budget on the
+   plain-traffic workload — and (b) observably identical to the
+   unpooled path. The unpooled run allocates a fresh frame per send,
+   the lifecycle the record-frame representation had (and the QCheck
+   differential suite pins the flat codecs to the record codecs
+   byte-for-byte), so it is the oracle: events, deliveries and every
+   switch register must match on the plain run, under the BENCH_4
+   chaos schedule, and on a sharded run.
 
-let setup_pooled_traffic cfg ~owns net =
-  let hosts = Array.of_list (Net.hosts net) in
-  let n = Array.length hosts in
-  let eng = Net.engine net in
-  let payload = Bytes.create cfg.payload_bytes in
-  (* One pool per sending host — per-flow in this workload, since each
-     host originates exactly one flow. Pools are created here, in the
-     calling domain; for a sharded run setup executes on the shard's
-     own domain, so recycling at delivery is a same-domain operation
-     for intra-shard traffic and a safe no-op across a boundary. *)
-  let pools =
-    Array.map (fun _ -> Frame.Pool.create ~capacity:64 ~frame_bytes:2048 ())
-      hosts
-  in
-  let send src =
-    let dst = hosts.((src + (n / 2)) mod n) in
-    let s = hosts.(src) in
-    let frame =
-      Frame.Pool.udp_frame pools.(src) ~src_mac:s.Net.mac ~dst_mac:dst.Net.mac
-        ~src_ip:s.Net.ip ~dst_ip:dst.Net.ip ~src_port:(1000 + src) ~dst_port:7
-        ~payload ()
-    in
-    Net.host_send net s frame
-  in
-  (* Same self-scheduling shape as [setup_plain_traffic] — the two are
-     compared event-for-event by the frames gate, so their send
-     scheduling must stay mirror images. *)
-  let rec tick src j () =
-    send src;
-    let j = j + 1 in
-    if j < cfg.packets_per_host then
-      Engine.at eng ((j * cfg.gap_ns) + (src * 7) + 1) (tick src j)
-  in
-  for src = 0 to n - 1 do
-    if owns hosts.(src).Net.node_id && cfg.packets_per_host > 0 then
-      Engine.at eng ((src * 7) + 1) (tick src 0)
-  done;
-  pools
+   Budgets, in minor words/event. Per-event allocation can ramp with simulated time as
+   port queues fill — once departures overlap (path latency ~8us vs the 6us per-host gap)
+   frames take the queued dequeue paths — so the full run (k=8, 1500 packets/host; exact
+   count 2.7 w/ev) gets the looser budget, and the smoke run (k=4, 200 packets/host; 2.9
+   w/ev), which ends before the queues fill, the tighter one. *)
 
-let pool_totals pools =
-  Array.fold_left
-    (fun (c, r, o) p ->
-      ( c + Frame.Pool.created p,
-        r + Frame.Pool.reused p,
-        o + Frame.Pool.outstanding p ))
-    (0, 0, 0) pools
-
-let run_frames_fabric cfg ~pooled =
-  let eng = Engine.create ~scheduler:`Wheel () in
-  let net = build ~event_mode:`Typed cfg eng in
-  let pools =
-    if pooled then setup_pooled_traffic cfg ~owns:(fun _ -> true) net
-    else begin
-      setup_plain_traffic cfg ~owns:(fun _ -> true) net;
-      [||]
-    end
-  in
-  let g0 = gc_mark () in
-  let t0 = Unix.gettimeofday () in
-  Engine.run eng ~until:horizon;
-  let wall = Unix.gettimeofday () -. t0 in
-  let minor, promoted = gc_delta g0 in
-  let events = Engine.events_processed eng in
-  ( { g_events = events; g_delivered = Net.frames_delivered net; g_wall = wall;
-      g_minor_pe = per_event minor events;
-      g_promoted_pe = per_event promoted events;
-      g_fp = net_fp ~owns:(fun _ -> true) net },
-    pool_totals pools )
-
-let run_frames_chaos cfg ~pooled =
-  let eng = Engine.create ~scheduler:`Wheel () in
-  let net = build ~event_mode:`Typed cfg eng in
-  let f = chaos_schedule cfg net in
-  (if pooled then ignore (setup_pooled_traffic cfg ~owns:(fun _ -> true) net)
-   else setup_plain_traffic cfg ~owns:(fun _ -> true) net);
-  let t0 = Unix.gettimeofday () in
-  Engine.run eng ~until:horizon;
-  let wall = Unix.gettimeofday () -. t0 in
-  let events = Engine.events_processed eng in
-  ( { g_events = events; g_delivered = Net.frames_delivered net; g_wall = wall;
-      g_minor_pe = 0.0; g_promoted_pe = 0.0;
-      g_fp = net_fp ~owns:(fun _ -> true) net },
-    fault_fp (Fault.stats f) )
-
-let run_frames_parallel cfg ~shards =
-  let marks = Array.make shards (0.0, 0.0) in
-  let t0 = Unix.gettimeofday () in
-  let stats, parts =
-    Parsim.run ~scheduler:`Wheel ~shards ~until:horizon ~build:(build cfg)
-      ~setup:(fun ~shard ~owns net ->
-        ignore (setup_pooled_traffic cfg ~owns net);
-        marks.(shard) <- gc_mark_local ())
-      ~collect:(fun ~shard ~owns net ->
-        (net_fp ~owns net, gc_delta_local marks.(shard)))
-      ()
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  let fp =
-    Array.to_list parts
-    |> List.concat_map fst
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  let minor = Array.fold_left (fun a (_, (m, _)) -> a +. m) 0.0 parts in
-  ( { g_events = stats.Parsim.events; g_delivered = stats.Parsim.delivered;
-      g_wall = wall;
-      g_minor_pe = per_event minor stats.Parsim.events;
-      g_promoted_pe = 0.0; g_fp = fp },
-    stats.Parsim.rounds )
-
-let write_frames_json cfg ~out ~(oracle : engine_run) ~(pooled : engine_run)
-    ~pool:(p_created, p_reused, p_out) ~speedup ~shards ~par_wall ~par_minor =
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": 6,\n\
-    \  \"workload\": \"%s\",\n\
-    \  \"git_commit\": \"%s\",\n\
-    \  \"ocaml\": \"%s\",\n\
-    \  \"cores\": %d,\n\
-    \  \"events\": %d,\n\
-    \  \"packets_delivered\": %d,\n\
-    \  \"wall_s\": %.6f,\n\
-    \  \"events_per_sec\": %.1f,\n\
-    \  \"minor_words_per_event\": %.3f,\n\
-    \  \"promoted_words_per_event\": %.4f,\n\
-    \  \"speedup_vs_unpooled\": %.3f,\n\
-    \  \"pool\": { \"created\": %d, \"reused\": %d, \"outstanding\": %d },\n\
-    \  \"oracle\": { \"frames\": \"unpooled\", \"events\": %d, \"wall_s\": \
-     %.6f, \"events_per_sec\": %.1f,\n\
-    \              \"minor_words_per_event\": %.3f },\n\
-    \  \"chaos\": { \"identical\": true },\n\
-    \  \"sharded\": { \"shards\": %d, \"wall_s\": %.6f, \
-     \"speedup_vs_sequential\": %.3f, \"identical\": true },\n\
-    \  \"sharded_minor_words_per_event\": %.3f,\n\
-    \  \"identical\": true\n\
-     }\n"
-    (engine_workload_of cfg) (git_commit ()) Sys.ocaml_version
-    (Domain.recommended_domain_count ())
-    pooled.g_events pooled.g_delivered pooled.g_wall
-    (float_of_int pooled.g_events /. pooled.g_wall)
-    pooled.g_minor_pe pooled.g_promoted_pe speedup p_created p_reused p_out
-    oracle.g_events oracle.g_wall
-    (float_of_int oracle.g_events /. oracle.g_wall)
-    oracle.g_minor_pe shards par_wall
-    (pooled.g_wall /. par_wall)
-    par_minor;
-  close_out oc;
-  Printf.printf "perf: wrote %s\n%!" out
-
-(* Allocation budgets for the pooled fabric, in minor words/event.
-   Measured profile (k=4 and k=8 agree): per-event allocation ramps
-   with simulated time as port queues fill — once departures overlap
-   (path latency ~8us vs the 6us per-host gap) frames start taking the
-   queued dequeue paths — from ~3 w/ev over the first ~200 packets/host
-   to a ~7.7 w/ev plateau by ~1500 packets/host. The full run measures
-   the plateau; [frames_minor_budget] is that plateau plus margin. The
-   smoke run (k=4, 200 packets/host, 41.6k events) ends mid-ramp and
-   measures ~3.2-4.5 w/ev — the spread is one-time pool and ring growth
-   landing in whichever of the two timed runs wins wall-clock — so its
-   budget is *tighter* than the full one, not looser: the old +0.5
-   "smoke tolerance" had the direction backwards. *)
 let frames_minor_budget = 10.0
 let frames_smoke_minor_budget = 6.0
 
 let frames_bench cfg =
-  let cfg =
-    if cfg.smoke then { cfg with k = 4; packets_per_host = 200 } else cfg
-  in
-  let tag = if cfg.smoke then "perf(frames smoke)" else "perf(frames)" in
-  Printf.printf "%s: %s\n%!" tag (engine_workload_of cfg);
-  (* Best of two runs per variant so a scheduler hiccup cannot fake (or
-     hide) a regression; the runs are deterministic, so the fingerprint
-     of either serves. *)
-  let best_of_two run =
-    let a = run () in
-    let b = run () in
-    if (fst b).g_wall < (fst a).g_wall then b else a
-  in
-  let oracle, _ = best_of_two (fun () -> run_frames_fabric cfg ~pooled:false) in
-  let pooled, (p_created, p_reused, p_out) =
-    best_of_two (fun () -> run_frames_fabric cfg ~pooled:true)
-  in
-  let check label (a : engine_run) (b : engine_run) =
-    if a.g_events <> b.g_events || a.g_delivered <> b.g_delivered then begin
-      Printf.eprintf
-        "%s: FAIL — %s diverged from the unpooled oracle (%d/%d events, \
-         %d/%d delivered)\n"
-        tag label a.g_events b.g_events a.g_delivered b.g_delivered;
-      exit 1
-    end;
-    if a.g_fp <> b.g_fp then begin
-      Printf.eprintf
-        "%s: FAIL — %s: switch register fingerprints differ\n" tag label;
-      exit 1
-    end
-  in
-  check "pooled plain run" oracle pooled;
-  let fab name (r : engine_run) =
-    Printf.printf
-      "%s: fabric %-9s %d events, %d delivered in %.3fs (%.3e ev/s, %.2f \
-       minor w/ev)\n%!"
-      tag name r.g_events r.g_delivered r.g_wall
-      (float_of_int r.g_events /. r.g_wall)
-      r.g_minor_pe
-  in
-  fab "unpooled" oracle;
-  fab "pooled" pooled;
-  Printf.printf "%s: pool %d created / %d reused, %d outstanding at end\n%!" tag
-    p_created p_reused p_out;
-  (* The allocation gate: the whole pooled dataplane, not just the
-     event core, within budget. See the budget constants above for why
-     the smoke bound is the tighter one. *)
-  let budget =
-    if cfg.smoke then frames_smoke_minor_budget else frames_minor_budget
-  in
-  if pooled.g_minor_pe > budget then begin
-    Printf.eprintf
-      "%s: FAIL — pooled run allocates %.2f minor words/event (budget %.1f)\n"
-      tag pooled.g_minor_pe budget;
-    exit 1
-  end;
-  (* Chaos identity: the full BENCH_4 fault schedule, pooled vs
-     unpooled, sequentially under the wheel. *)
-  let chaos_oracle, chaos_oracle_faults = run_frames_chaos cfg ~pooled:false in
-  let chaos_pooled, chaos_pooled_faults = run_frames_chaos cfg ~pooled:true in
-  check "pooled chaotic run" chaos_oracle chaos_pooled;
-  if chaos_oracle_faults <> chaos_pooled_faults then begin
-    Printf.eprintf
-      "%s: FAIL — pooled chaotic run's fault counts diverged ([%s] vs [%s])\n"
-      tag
-      (String.concat ";" (List.map string_of_int chaos_oracle_faults))
-      (String.concat ";" (List.map string_of_int chaos_pooled_faults));
-    exit 1
-  end;
-  Printf.printf
-    "%s: chaos %d events, %d delivered — pooled identical to unpooled\n%!" tag
-    chaos_pooled.g_events chaos_pooled.g_delivered;
-  (* Sharded identity: pooled frames under the parallel scheduler must
-     reproduce the sequential oracle's registers exactly (cross-shard
-     recycles are no-ops by the pool's domain-ownership rule). *)
-  let shards =
-    if cfg.smoke then 2 else if cfg.shards > 0 then cfg.shards else 4
-  in
-  let par, rounds = run_frames_parallel cfg ~shards in
-  check (Printf.sprintf "pooled %d-shard run" shards) oracle par;
-  Printf.printf
-    "%s: %d-shard pooled run identical to sequential (%.3fs, %d rounds, %.2f \
-     minor w/ev)\n%!"
-    tag shards par.g_wall rounds par.g_minor_pe;
-  let speedup = oracle.g_wall /. pooled.g_wall in
-  Printf.printf "%s: pooled speedup over unpooled: %.2fx\n%!" tag speedup;
-  Printf.printf
-    "%s: OK — pooled flat frames bit-identical to the unpooled oracle \
-     (plain, chaos, %d-shard)\n%!"
-    tag shards;
+  let cfg, tag, workload = start cfg "frames" plain in
+  let oracle = best_of_two (fun () -> run (fabric cfg plain)) in
+  let pool_sc = fabric cfg pooled in
+  let pld = best_of_two (fun () -> run pool_sc) in
+  same tag "pooled plain run" oracle pld;
+  print_row tag "unpooled" oracle;
+  print_row tag "pooled" pld;
+  let p = pld.harvest in
+  say tag "pool %d created / %d reused, %d outstanding at end" p.created p.reused p.outstanding;
+  let budget = if cfg.smoke then frames_smoke_minor_budget else frames_minor_budget in
+  if pld.minor_pe > budget then
+    fail tag "pooled run allocates %.2f minor words/event (budget %.1f)" pld.minor_pe budget;
+  let chaos load = run (fabric cfg ~fault:(chaos_schedule cfg) load) in
+  let chaos_oracle = chaos plain in
+  let chaos_pooled = chaos pooled in
+  same tag "pooled chaotic run" chaos_oracle chaos_pooled;
+  say tag "chaos %d events, %d delivered — pooled identical to unpooled" chaos_pooled.events
+    chaos_pooled.delivered;
+  (* Cross-shard recycles are no-ops by the pool's domain-ownership rule,
+     so the sharded pooled run must still reproduce the oracle. *)
+  let shards = gate_shards cfg in
+  let par = sharded tag ~shards "pooled run" pool_sc oracle in
+  let speedup = oracle.wall /. pld.wall in
+  say tag "%d-shard pooled run identical to sequential (%.3fs, %d rounds, %.2f minor w/ev)" shards
+    par.wall (Option.get par.par).Parsim.rounds par.minor_pe;
+  say tag "pooled speedup over unpooled: %.2fx" speedup;
+  say tag "OK — pooled flat frames bit-identical to the unpooled oracle (plain, chaos, %d-shard)"
+    shards;
   if not cfg.smoke then begin
-    let out = match cfg.out with Some o -> o | None -> "BENCH_6.json" in
-    write_frames_json cfg ~out ~oracle ~pooled
-      ~pool:(p_created, p_reused, p_out) ~speedup ~shards ~par_wall:par.g_wall
-      ~par_minor:par.g_minor_pe;
-    let eps = float_of_int pooled.g_events /. pooled.g_wall in
+    write_json (out_path cfg 6)
+      (Obj (header ~bench:6 ~workload @ run_keys pld
+            @ [ ("speedup_vs_unpooled", fixed 3 speedup); ("pool", pool_json p);
+                ("oracle",
+                 Obj (("frames", Str "unpooled")
+                      :: run_keys ~drop:[ "packets_delivered"; "promoted_words_per_event" ]
+                           oracle));
+                ("chaos", Obj [ ("identical", bool true) ]);
+                ("sharded", sharded_json ~shards par.wall
+                              ~extra:[ ("speedup_vs_sequential", fixed 3 (pld.wall /. par.wall)) ]);
+                ("sharded_minor_words_per_event", fixed 3 par.minor_pe);
+                ("identical", bool true) ]));
+    let eps = rate pld.events pld.wall in
     if eps < 2.4e6 then
-      Printf.printf
-        "%s: WARNING — %.3e events/sec below the 2.4e6 target on this \
-         machine\n%!"
-        tag eps
+      say tag "WARNING — %.3e events/sec below the 2.4e6 target on this machine" eps
   end
 
-(* ---- sharded workload (BENCH_2): the multicore gate ----------------
+(* ---- BENCH_2: the multicore gate --------------------------------------
 
    The flat-boundary parallel engine measured against the sequential
-   engine on the BENCH_6 pooled-frame workload (wheel scheduler, typed
-   events on both sides — the deltas here are sharding and the
-   boundary protocol, nothing else). Three hard gates and one
+   engine on the BENCH_6 pooled-frame workload. Three hard gates and one
    conditional:
 
    1. Bit identity: events, deliveries and every switch register must
@@ -1481,233 +732,89 @@ let frames_bench cfg =
       boundary path (chunk blits, in-place inbox merge, receiver-side
       pool materialization) must not reintroduce per-message garbage.
    3. Pool conservation: every traffic-pool frame and every boundary
-      frame is back in its pool at the horizon (outstanding = 0) —
-      the cross-domain leak stays fixed.
-   4. Speedup (conditional): >= 2x events/sec over sequential at
-      4+ shards, asserted only when the machine has >= 4 cores;
-      otherwise skipped loudly, with the provenance recorded in
-      BENCH_2.json so a reader knows the number was not checked.
+      frame is back in its pool at the horizon (outstanding = 0) — the
+      cross-domain leak stays fixed.
+   4. Speedup (conditional): >= 2x events/sec over sequential at 4+
+      shards, asserted only when the machine has >= 4 cores; otherwise
+      skipped loudly, with the provenance recorded in BENCH_2.json.
 
-   A k=16 row (reduced packet count) rides along to show the
-   bigger-fabric trajectory the ROADMAP's k=16/k=32 target needs. *)
+   A k=16 row (reduced packet count) rides along to show the bigger-fabric trajectory, its
+   identity and pools checked too — a bigger fabric that silently diverged would be worse
+   than no row. *)
 
 let speedup_gate_min_cores = 4
 let speedup_target = 2.0
 
-(* Pooled traffic under Parsim, collecting per-shard register
-   fingerprints, GC deltas and traffic-pool totals. *)
-let run_shards cfg ~shards =
-  let marks = Array.make shards (0.0, 0.0) in
-  let pools = Array.make shards [||] in
-  let t0 = Unix.gettimeofday () in
-  let stats, parts =
-    Parsim.run ~scheduler:`Wheel ~shards ~until:horizon ~build:(build cfg)
-      ~setup:(fun ~shard ~owns net ->
-        pools.(shard) <- setup_pooled_traffic cfg ~owns net;
-        marks.(shard) <- gc_mark_local ())
-      ~collect:(fun ~shard ~owns net ->
-        (net_fp ~owns net, gc_delta_local marks.(shard),
-         pool_totals pools.(shard)))
-      ()
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  let fp =
-    Array.to_list parts
-    |> List.concat_map (fun (fp, _, _) -> fp)
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  let minor = Array.fold_left (fun a (_, (m, _), _) -> a +. m) 0.0 parts in
-  let pool =
-    Array.fold_left
-      (fun (c, r, o) (_, _, (pc, pr, po)) -> (c + pc, r + pr, o + po))
-      (0, 0, 0) parts
-  in
-  ( { g_events = stats.Parsim.events; g_delivered = stats.Parsim.delivered;
-      g_wall = wall;
-      g_minor_pe = per_event minor stats.Parsim.events;
-      g_promoted_pe = 0.0; g_fp = fp },
-    stats, pool )
-
-let write_shards_json cfg ~out ~(seq : engine_run) ~(par : engine_run)
-    ~(stats : Parsim.stats) ~pool:(p_created, p_reused, p_out) ~speedup
-    ~gate_enforced ~gate_reason ~k16 =
-  let cores = Domain.recommended_domain_count () in
-  let k16_cfg, (k16_seq : engine_run), (k16_par : engine_run), k16_speedup =
-    k16
-  in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": 2,\n\
-    \  \"workload\": \"%s\",\n\
-    \  \"shards\": %d,\n\
-    \  \"git_commit\": \"%s\",\n\
-    \  \"ocaml\": \"%s\",\n\
-    \  \"cores\": %d,\n\
-    \  \"events\": %d,\n\
-    \  \"packets_delivered\": %d,\n\
-    \  \"rounds\": %d,\n\
-    \  \"boundary_messages\": %d,\n\
-    \  \"boundary_chunks\": %d,\n\
-    \  \"cut_links\": %d,\n\
-    \  \"lookahead_ns\": %d,\n\
-    \  \"wall_s\": %.6f,\n\
-    \  \"events_per_sec\": %.1f,\n\
-    \  \"minor_words_per_event\": %.3f,\n\
-    \  \"sharded_minor_words_per_event\": %.3f,\n\
-    \  \"speedup_vs_sequential\": %.3f,\n\
-    \  \"sequential\": { \"wall_s\": %.6f, \"events_per_sec\": %.1f, \
-     \"minor_words_per_event\": %.3f },\n\
-    \  \"pool\": { \"created\": %d, \"reused\": %d, \"outstanding\": %d },\n\
-    \  \"boundary_outstanding\": %d,\n\
-    \  \"speedup_gate\": { \"target\": %.1f, \"enforced\": %s, \"reason\": \
-     \"%s\" },\n\
-    \  \"k16\": { \"workload\": \"%s\", \"events\": %d, \"wall_s\": %.6f, \
-     \"events_per_sec\": %.1f,\n\
-    \            \"sequential_wall_s\": %.6f, \"speedup_vs_sequential\": \
-     %.3f, \"identical\": true },\n\
-    \  \"identical\": true\n\
-     }\n"
-    (engine_workload_of cfg) stats.Parsim.shards (git_commit ())
-    Sys.ocaml_version cores par.g_events par.g_delivered stats.Parsim.rounds
-    stats.Parsim.messages stats.Parsim.chunks stats.Parsim.cut_links
-    stats.Parsim.lookahead par.g_wall
-    (float_of_int par.g_events /. par.g_wall)
-    par.g_minor_pe par.g_minor_pe speedup seq.g_wall
-    (float_of_int seq.g_events /. seq.g_wall)
-    seq.g_minor_pe p_created p_reused p_out stats.Parsim.boundary_outstanding
-    speedup_target
-    (if gate_enforced then "true" else "false")
-    gate_reason
-    (engine_workload_of k16_cfg)
-    k16_par.g_events k16_par.g_wall
-    (float_of_int k16_par.g_events /. k16_par.g_wall)
-    k16_seq.g_wall k16_speedup;
-  close_out oc;
-  Printf.printf "perf: wrote %s\n%!" out
-
 let shards_bench cfg =
-  let shards = cfg.shards in
-  let cores = Domain.recommended_domain_count () in
+  let shards = cfg.shards and cores = Domain.recommended_domain_count () in
   let tag = "perf(shards)" in
-  Printf.printf "%s: %s — %d shards on %d core(s)\n%!" tag
-    (engine_workload_of cfg) shards cores;
-  let check label (seq : engine_run) (par : engine_run) =
-    if seq.g_events <> par.g_events || seq.g_delivered <> par.g_delivered
-    then begin
-      Printf.eprintf
-        "%s: FAIL — %s diverged from sequential (%d vs %d events, %d vs %d \
-         delivered)\n"
-        tag label par.g_events seq.g_events par.g_delivered seq.g_delivered;
-      exit 1
-    end;
-    if seq.g_fp <> par.g_fp then begin
-      Printf.eprintf
-        "%s: FAIL — %s: switch register fingerprints differ from sequential\n"
-        tag label;
-      exit 1
-    end
-  in
-  let best_of_two run =
-    let a = run () in
-    let b = run () in
-    if (fst b).g_wall < (fst a).g_wall then b else a
-  in
-  (* Sequential baseline: same pooled workload, same scheduler. *)
-  let seq, _ = best_of_two (fun () -> run_frames_fabric cfg ~pooled:true) in
-  let par, stats, (p_created, p_reused, p_out) = run_shards cfg ~shards in
-  check (Printf.sprintf "%d-shard run" shards) seq par;
-  Printf.printf
-    "%s: sequential %d events in %.3fs (%.3e ev/s, %.2f minor w/ev)\n\
-     %s: %d-shard   %d events in %.3fs (%.3e ev/s, %.2f minor w/ev)\n\
-     %s: %d rounds, %d boundary frames in %d chunks over %d cut links, \
-     lookahead %dns\n%!"
-    tag seq.g_events seq.g_wall
-    (float_of_int seq.g_events /. seq.g_wall)
-    seq.g_minor_pe tag shards par.g_events par.g_wall
-    (float_of_int par.g_events /. par.g_wall)
-    par.g_minor_pe tag stats.Parsim.rounds stats.Parsim.messages
-    stats.Parsim.chunks stats.Parsim.cut_links stats.Parsim.lookahead;
-  (* Pool conservation: traffic pools and boundary pools both drain. *)
-  Printf.printf "%s: pool %d created / %d reused, %d outstanding, %d \
-                 boundary outstanding\n%!"
-    tag p_created p_reused p_out stats.Parsim.boundary_outstanding;
-  if p_out <> 0 || stats.Parsim.boundary_outstanding <> 0 then begin
-    Printf.eprintf
-      "%s: FAIL — %d traffic-pool and %d boundary frames never returned to \
-       their pools\n"
-      tag p_out stats.Parsim.boundary_outstanding;
-    exit 1
-  end;
-  (* Allocation gate: the boundary path must stay flat. *)
-  if par.g_minor_pe > 2.0 *. seq.g_minor_pe then begin
-    Printf.eprintf
-      "%s: FAIL — sharded run allocates %.2f minor words/event, over 2x the \
-       sequential %.2f\n"
-      tag par.g_minor_pe seq.g_minor_pe;
-    exit 1
-  end;
-  let speedup = seq.g_wall /. par.g_wall in
-  Printf.printf "%s: speedup over sequential: %.2fx\n%!" tag speedup;
-  (* Speedup gate, behind the core-count probe: a 1-2 core machine
-     cannot speed anything up, so asserting there would only test the
-     scheduler's mercy. The skip is loud and lands in the JSON. *)
+  let workload = workload_of cfg pooled in
+  say tag "%s — %d shards on %d core(s)" workload shards cores;
+  let seq, par, st = seq_vs_sharded ~best:true tag ~shards cfg pooled in
+  let p = par.harvest in
+  say tag "sequential %d events in %.3fs (%.3e ev/s, %.2f minor w/ev)" seq.events seq.wall
+    (rate seq.events seq.wall) seq.minor_pe;
+  say tag "%d-shard   %d events in %.3fs (%.3e ev/s, %.2f minor w/ev)" shards par.events par.wall
+    (rate par.events par.wall) par.minor_pe;
+  say tag "%d rounds, %d boundary frames in %d chunks over %d cut links, lookahead %dns"
+    st.Parsim.rounds st.Parsim.messages st.Parsim.chunks st.Parsim.cut_links st.Parsim.lookahead;
+  say tag "pool %d created / %d reused, %d outstanding, %d boundary outstanding" p.created p.reused
+    p.outstanding st.Parsim.boundary_outstanding;
+  if par.minor_pe > 2.0 *. seq.minor_pe then
+    fail tag "sharded run allocates %.2f minor words/event, over 2x the sequential %.2f"
+      par.minor_pe seq.minor_pe;
+  let speedup = seq.wall /. par.wall in
+  say tag "speedup over sequential: %.2fx" speedup;
+  (* A 1-2 core machine cannot speed anything up, so asserting there
+     would only test the scheduler's mercy. The skip is loud and lands
+     in the JSON. *)
   let gate_enforced = cores >= speedup_gate_min_cores && shards >= 4 in
   let gate_reason =
     if gate_enforced then
-      Printf.sprintf "checked: %d cores >= %d, %d shards" cores
-        speedup_gate_min_cores shards
+      Printf.sprintf "checked: %d cores >= %d, %d shards" cores speedup_gate_min_cores shards
     else if cores < speedup_gate_min_cores then
-      Printf.sprintf "skipped: only %d core(s) < %d" cores
-        speedup_gate_min_cores
+      Printf.sprintf "skipped: only %d core(s) < %d" cores speedup_gate_min_cores
     else Printf.sprintf "skipped: only %d shard(s) < 4" shards
   in
   if gate_enforced then begin
-    if speedup < speedup_target then begin
-      Printf.eprintf
-        "%s: FAIL — speedup %.2fx below the %.1fx target (%d shards, %d \
-         cores)\n"
-        tag speedup speedup_target shards cores;
-      exit 1
-    end;
-    Printf.printf "%s: speedup gate passed (%.2fx >= %.1fx)\n%!" tag speedup
-      speedup_target
+    if speedup < speedup_target then
+      fail tag "speedup %.2fx below the %.1fx target (%d shards, %d cores)" speedup speedup_target
+        shards cores;
+    say tag "speedup gate passed (%.2fx >= %.1fx)" speedup speedup_target
   end
-  else
-    Printf.printf
-      "%s: SKIPPED speedup gate — %s (recorded in BENCH_2.json)\n%!" tag
-      gate_reason;
-  (* k=16 trajectory row: the fabric the ROADMAP's north star needs,
-     at a packet count that keeps the row affordable. Identity is
-     checked here too — a bigger fabric that silently diverged would
-     be worse than no row. *)
-  let k16_cfg =
-    { cfg with k = 16; packets_per_host = min cfg.packets_per_host 50 }
-  in
-  Printf.printf "%s: k=16 row — %s\n%!" tag (engine_workload_of k16_cfg);
-  let k16_seq, _ = run_frames_fabric k16_cfg ~pooled:true in
-  let k16_par, k16_stats, (_, _, k16_p_out) = run_shards k16_cfg ~shards in
-  check "k=16 run" k16_seq k16_par;
-  if k16_p_out <> 0 || k16_stats.Parsim.boundary_outstanding <> 0 then begin
-    Printf.eprintf
-      "%s: FAIL — k=16: %d traffic-pool and %d boundary frames leaked\n" tag
-      k16_p_out k16_stats.Parsim.boundary_outstanding;
-    exit 1
-  end;
-  let k16_speedup = k16_seq.g_wall /. k16_par.g_wall in
-  Printf.printf
-    "%s: k=16 sequential %.3fs, %d-shard %.3fs (%.2fx, %d rounds) — \
-     identical\n%!"
-    tag k16_seq.g_wall shards k16_par.g_wall k16_speedup k16_stats.Parsim.rounds;
-  Printf.printf
-    "%s: OK — %d-shard runs bit-identical to sequential, pools drained\n%!"
-    tag shards;
-  let out = match cfg.out with Some o -> o | None -> "BENCH_2.json" in
-  write_shards_json cfg ~out ~seq ~par ~stats
-    ~pool:(p_created, p_reused, p_out) ~speedup ~gate_enforced ~gate_reason
-    ~k16:(k16_cfg, k16_seq, k16_par, k16_speedup)
+  else say tag "SKIPPED speedup gate — %s (recorded in BENCH_2.json)" gate_reason;
+  let k16_cfg = { cfg with k = 16; packets_per_host = min cfg.packets_per_host 50 } in
+  let k16_workload = workload_of k16_cfg pooled in
+  say tag "k=16 row — %s" k16_workload;
+  let k16_seq, k16_par, k16_st = seq_vs_sharded tag ~shards k16_cfg pooled in
+  let k16_speedup = k16_seq.wall /. k16_par.wall in
+  say tag "k=16 sequential %.3fs, %d-shard %.3fs (%.2fx, %d rounds) — identical" k16_seq.wall
+    shards k16_par.wall k16_speedup k16_st.Parsim.rounds;
+  say tag "OK — %d-shard runs bit-identical to sequential, pools drained" shards;
+  write_json (out_path cfg 2)
+    (Obj (header ~bench:2 ~workload @ run_keys ~drop:[ "promoted_words_per_event" ] par
+          @ [ ("shards", int st.Parsim.shards); ("rounds", int st.Parsim.rounds);
+              ("boundary_messages", int st.Parsim.messages);
+              ("boundary_chunks", int st.Parsim.chunks); ("cut_links", int st.Parsim.cut_links);
+              ("lookahead_ns", int st.Parsim.lookahead);
+              ("sharded_minor_words_per_event", fixed 3 par.minor_pe);
+              ("speedup_vs_sequential", fixed 3 speedup);
+              ("sequential",
+               Obj (run_keys ~drop:[ "events"; "packets_delivered"; "promoted_words_per_event" ]
+                      seq));
+              ("pool", pool_json p); ("boundary_outstanding", int st.Parsim.boundary_outstanding);
+              ("speedup_gate",
+               Obj [ ("target", fixed 1 speedup_target); ("enforced", bool gate_enforced);
+                     ("reason", Str gate_reason) ]);
+              ("k16", Obj ((("workload", Str k16_workload)
+                            :: run_keys ~drop:[ "packets_delivered"; "minor_words_per_event";
+                                                "promoted_words_per_event" ] k16_par)
+                           @ [ ("sequential_wall_s", fixed 6 k16_seq.wall);
+                               ("speedup_vs_sequential", fixed 3 k16_speedup);
+                               ("identical", bool true) ]));
+              ("identical", bool true) ]))
 
-(* ---- telemetry workload (BENCH_7): the streaming-telemetry gate -----
+(* ---- BENCH_7: the streaming-telemetry gate ---------------------------
 
    Four properties lib/telemetry must hold, each checked against an
    exact oracle or a bit-identity witness:
@@ -1729,14 +836,14 @@ let shards_bench cfg =
       oracle — 2x for a merged digest, whose clusters may coarsen
       once — and the centroid count stays under its cap.
 
-   4. Fabric identity. The BENCH_5 plain-traffic fabric with binary
-      switch taps and a periodically absorbing collector, run
-      sequentially and sharded, must agree on total cards and on the
-      collector's order-independent fingerprint bit-for-bit. *)
+   4. Fabric identity. The plain-traffic fabric with binary switch taps
+      and a periodically absorbing collector, run sequentially and
+      sharded, must agree on total cards and on the collector's
+      order-independent fingerprint bit-for-bit. *)
 
-(* Ingest microbench: synthetic hop cards through a default sink into
-   a collector that drains every ~8k cards, i.e. always keeps up. The
-   max byte footprint observed across rotations is the bounded-memory
+(* Ingest microbench: synthetic hop cards through a default sink into a
+   collector that drains every ~8k cards, i.e. always keeps up. The max
+   byte footprint observed across rotations is the bounded-memory
    witness on the fast path. *)
 let telemetry_cards_per_chunk = 1024
 let telemetry_max_chunks = 64
@@ -1748,56 +855,19 @@ let telemetry_ingest ~cards =
   in
   let col = Collector.create () in
   let max_bytes = ref 0 in
-  let g0 = gc_mark () in
-  let t0 = Unix.gettimeofday () in
+  let g0 = gc_mark () and t0 = Unix.gettimeofday () in
   for i = 0 to cards - 1 do
-    Telemetry_sink.emit_hop sink ~now:(i * 50) ~switch_id:(i land 63)
-      ~in_port:(i land 3) ~out_port:((i lsr 2) land 3)
-      ~queue_bytes:(i land 0xFFFF) ~version:1 ~frame_id:i
+    Telemetry_sink.emit_hop sink ~now:(i * 50) ~switch_id:(i land 63) ~in_port:(i land 3)
+      ~out_port:((i lsr 2) land 3) ~queue_bytes:(i land 0xFFFF) ~version:1 ~frame_id:i
       ~flow_hash:(i land 1023) ~wire_bytes:1000 ~entry:1;
     if i land 0x1FFF = 0x1FFF then begin
-      let b = Telemetry_sink.card_bytes_alive sink in
-      if b > !max_bytes then max_bytes := b;
+      max_bytes := max !max_bytes (Telemetry_sink.card_bytes_alive sink);
       Collector.absorb col sink
     end
   done;
   Collector.absorb col sink;
-  let wall = Unix.gettimeofday () -. t0 in
-  let minor, _ = gc_delta g0 in
+  let wall = Unix.gettimeofday () -. t0 and minor, _ = gc_delta g0 in
   (col, sink, wall, minor /. float_of_int cards, !max_bytes)
-
-(* Overload: a small sink fed 10x its capacity with no drain at all.
-   Memory must stay at the cap and every offered card must end up
-   either drained or counted dropped. *)
-let telemetry_overload () =
-  let cards_per_chunk = 256 and max_chunks = 8 in
-  let sink = Telemetry_sink.create ~cards_per_chunk ~max_chunks () in
-  let cap = max_chunks * cards_per_chunk * Telemetry_wire.bytes_per_card in
-  let offered = 10 * max_chunks * cards_per_chunk in
-  for i = 0 to offered - 1 do
-    Telemetry_sink.emit_hop sink ~now:i ~switch_id:0 ~in_port:0 ~out_port:0
-      ~queue_bytes:0 ~version:1 ~frame_id:i ~flow_hash:0 ~wire_bytes:64
-      ~entry:0
-  done;
-  let held = Telemetry_sink.card_bytes_alive sink in
-  let drained = ref 0 in
-  Telemetry_sink.drain sink (fun _ ~off:_ -> incr drained);
-  (cap, held, offered, Telemetry_sink.dropped sink, !drained)
-
-type sketch_report = {
-  sk_samples : int;
-  cms_total : int;
-  cms_bound : int;        (* ceil (epsilon * total) *)
-  cms_max_over : int;
-  cms_under : int;        (* keys estimated below exact: must be 0 *)
-  cms_viol : int;         (* keys overestimated past the bound *)
-  cms_merged_equal : bool;
-  td_centroids : int;
-  td_max_err : float;     (* max rank error over the probed quantiles *)
-  td_max_ratio : float;   (* max err / per-quantile bound *)
-  td_merged_max_err : float;
-  td_merged_max_ratio : float;  (* vs 2x the per-quantile bound *)
-}
 
 let telemetry_quantiles = [ 0.01; 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 0.999 ]
 
@@ -1809,37 +879,32 @@ let telemetry_quantiles = [ 0.01; 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 0.999 ]
 let td_delta = 100.0
 
 let td_rank_bound ~n q =
-  (2.0 *. Float.pi /. td_delta *. sqrt (q *. (1.0 -. q)))
-  +. (1.0 /. float_of_int n)
+  (2.0 *. Float.pi /. td_delta *. sqrt (q *. (1.0 -. q))) +. (1.0 /. float_of_int n)
 
-let telemetry_sketches ~samples =
+(* Sketches vs exact oracles: gates, prints, and returns the JSON. *)
+let telemetry_sketches ~tag ~samples =
   let rng = Rng.create ~seed:chaos_seed in
   (* Count-min vs an exact hashtable. min-of-two-uniforms skews the
      key distribution so the stream has genuine heavy hitters. *)
   let keys = 4096 in
-  let cms = Sketch.Cms.create () in
-  let shard_cms = Array.init 4 (fun _ -> Sketch.Cms.create ()) in
+  let cms = Sketch.Cms.create () and shard_cms = Array.init 4 (fun _ -> Sketch.Cms.create ()) in
   let exact = Hashtbl.create keys in
   for i = 0 to samples - 1 do
     let key = min (Rng.int rng keys) (Rng.int rng keys) in
     let w = 64 + Rng.int rng 1400 in
     Sketch.Cms.add cms ~key w;
     Sketch.Cms.add shard_cms.(i land 3) ~key w;
-    Hashtbl.replace exact key
-      (w + Option.value ~default:0 (Hashtbl.find_opt exact key))
+    Hashtbl.replace exact key (w + Option.value ~default:0 (Hashtbl.find_opt exact key))
   done;
   let total = Sketch.Cms.total cms in
-  let bound =
-    int_of_float (Float.ceil (Sketch.Cms.epsilon cms *. float_of_int total))
-  in
+  let bound = int_of_float (Float.ceil (Sketch.Cms.epsilon cms *. float_of_int total)) in
   let max_over = ref 0 and under = ref 0 and viol = ref 0 in
   Hashtbl.iter
     (fun key exact_v ->
-      let est = Sketch.Cms.estimate cms ~key in
-      if est < exact_v then incr under;
-      let over = est - exact_v in
-      if over > !max_over then max_over := over;
-      if over > bound then incr viol)
+      let over = Sketch.Cms.estimate cms ~key - exact_v in
+      if over < 0 then incr under;
+      if over > bound then incr viol;
+      max_over := max !max_over over)
     exact;
   let merged = Sketch.Cms.create () in
   Array.iter (fun s -> Sketch.Cms.merge ~into:merged s) shard_cms;
@@ -1847,323 +912,153 @@ let telemetry_sketches ~samples =
   (* The heaviest exact key must surface through the candidate API:
      estimates never underestimate, so threshold = its exact count. *)
   let top_key, top_count =
-    Hashtbl.fold
-      (fun k v ((_, bv) as best) -> if v > bv then (k, v) else best)
-      exact (-1, min_int)
+    Hashtbl.fold (fun k v ((_, bv) as best) -> if v > bv then (k, v) else best) exact (-1, min_int)
   in
-  let hh =
-    Sketch.Cms.heavy_hitters cms
-      ~candidates:(List.init keys (fun k -> k))
-      ~threshold:top_count
-  in
-  if not (List.mem_assoc top_key hh) then begin
-    Printf.eprintf
-      "perf(telemetry): FAIL — exact-heaviest key %d missing from \
-       heavy_hitters\n"
-      top_key;
-    exit 1
-  end;
+  let hh = Sketch.Cms.heavy_hitters cms ~candidates:(List.init keys Fun.id) ~threshold:top_count in
+  if not (List.mem_assoc top_key hh) then
+    fail tag "exact-heaviest key %d missing from heavy_hitters" top_key;
+  say tag "cms %d samples, max overestimate %d (bound %d), %d underestimates, merged shards %s"
+    samples !max_over bound !under (if merged_equal then "identical" else "DIVERGED");
+  if !under > 0 || !viol > 0 || not merged_equal then
+    fail tag "cms outside its bound (%d underestimates, %d violations, merged_equal=%b)" !under
+      !viol merged_equal;
   (* t-digest vs the exact sorted sample. Rank error: where the
      digest's answer really falls in the data, against the q asked. *)
   let td = Sketch.Tdigest.create ~delta:td_delta () in
   let shard_td = Array.init 4 (fun _ -> Sketch.Tdigest.create ~delta:td_delta ()) in
-  let vals =
-    Array.init samples (fun _ -> Rng.exponential rng ~mean:250.0)
-  in
-  Array.iteri
-    (fun i v ->
-      Sketch.Tdigest.add td v;
-      Sketch.Tdigest.add shard_td.(i land 3) v)
-    vals;
-  Array.sort compare vals;
-  let rank_of v =
-    let lo = ref 0 and hi = ref samples in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if vals.(mid) <= v then lo := mid + 1 else hi := mid
-    done;
-    float_of_int !lo /. float_of_int samples
-  in
+  let vals = Array.init samples (fun _ -> Rng.exponential rng ~mean:250.0) in
+  Array.iteri (fun i v -> Sketch.Tdigest.add td v; Sketch.Tdigest.add shard_td.(i land 3) v) vals;
+  let at_most v = Array.fold_left (fun c x -> if x <= v then c + 1 else c) 0 vals in
+  let rank_of v = float_of_int (at_most v) /. float_of_int samples in
   let merged_td = Sketch.Tdigest.create ~delta:td_delta () in
   Array.iter (fun s -> Sketch.Tdigest.merge ~into:merged_td s) shard_td;
-  let max_err = ref 0.0 and max_ratio = ref 0.0 in
-  let m_max_err = ref 0.0 and m_max_ratio = ref 0.0 in
-  List.iter
-    (fun q ->
-      let b = td_rank_bound ~n:samples q in
-      let err = Float.abs (rank_of (Sketch.Tdigest.quantile td q) -. q) in
-      if err > !max_err then max_err := err;
-      if err /. b > !max_ratio then max_ratio := err /. b;
-      let merr =
-        Float.abs (rank_of (Sketch.Tdigest.quantile merged_td q) -. q)
-      in
-      if merr > !m_max_err then m_max_err := merr;
-      if merr /. (2.0 *. b) > !m_max_ratio then
-        m_max_ratio := merr /. (2.0 *. b))
-    telemetry_quantiles;
-  {
-    sk_samples = samples;
-    cms_total = total;
-    cms_bound = bound;
-    cms_max_over = !max_over;
-    cms_under = !under;
-    cms_viol = !viol;
-    cms_merged_equal = merged_equal;
-    td_centroids = Sketch.Tdigest.centroids td;
-    td_max_err = !max_err;
-    td_max_ratio = !max_ratio;
-    td_merged_max_err = !m_max_err;
-    td_merged_max_ratio = !m_max_ratio;
-  }
+  (* Max rank error over the probed quantiles, and its ratio to the
+     per-quantile bound (2x the bound for the merged digest). *)
+  let worst digest slack =
+    List.fold_left
+      (fun (e, r) q ->
+        let err = Float.abs (rank_of (Sketch.Tdigest.quantile digest q) -. q) in
+        (Float.max e err, Float.max r (err /. (slack *. td_rank_bound ~n:samples q))))
+      (0.0, 0.0) telemetry_quantiles
+  in
+  let max_err, max_ratio = worst td 1.0 and m_max_err, m_max_ratio = worst merged_td 2.0 in
+  let centroids = Sketch.Tdigest.centroids td in
+  say tag "t-digest %d centroids, max rank error %.5f (%.2f of bound), merged %.5f (%.2f of 2x \
+           bound)" centroids max_err max_ratio m_max_err m_max_ratio;
+  if max_ratio > 1.0 || m_max_ratio > 1.0 || centroids > int_of_float (2.0 *. td_delta) + 8 then
+    fail tag "t-digest outside the k1 rank bound (or over its centroid cap: %d)" centroids;
+  Obj [ ("samples", int samples);
+        ("cms", Obj [ ("total", int total); ("bound", int bound);
+                      ("max_overestimate", int !max_over); ("underestimates", int !under);
+                      ("violations", int !viol); ("merged_identical", bool merged_equal) ]);
+        ("tdigest", Obj [ ("delta", fixed 0 td_delta); ("centroids", int centroids);
+                          ("max_rank_error", fixed 5 max_err);
+                          ("max_error_over_bound", fixed 3 max_ratio);
+                          ("merged_max_rank_error", fixed 5 m_max_err) ]) ]
 
-(* Fabric runs: BENCH_5's plain traffic under the wheel scheduler with
-   a binary tap on every switch, the collector absorbing every 50us of
-   simulated time — a real control-loop cadence, and frequent enough
-   that the default sink never drops. The horizon hugs the traffic
-   span so the absorb ticks stop when the fabric does. *)
+(* The tapped fabric: plain traffic with a binary tap on every switch,
+   the collector absorbing every 50us of simulated time — a real
+   control-loop cadence, and frequent enough that the default sink never
+   drops. The horizon hugs the traffic span so the absorb ticks stop
+   when the fabric does. Each shard taps every switch of its own
+   topology copy, but only owned switches ever process frames (boundary
+   frames are shipped to their owning shard), so each hop cards exactly
+   once fabric-wide and merging the shard collectors reproduces the
+   sequential stream. *)
 let telemetry_absorb_period = Time_ns.us 50
 
-let telemetry_until cfg = (cfg.packets_per_host * cfg.gap_ns) + Time_ns.ms 10
-
-let run_telemetry_fabric cfg =
-  let eng = Engine.create ~scheduler:`Wheel () in
-  let net = build ~event_mode:`Typed cfg eng in
-  let sink = Telemetry_sink.create () in
-  let col = Collector.create () in
-  Telemetry_emit.tap_switches sink net;
-  setup_plain_traffic cfg ~owns:(fun _ -> true) net;
-  let until = telemetry_until cfg in
-  Engine.every eng ~period:telemetry_absorb_period ~until (fun () ->
-      Collector.absorb col sink);
-  let t0 = Unix.gettimeofday () in
-  Engine.run eng ~until;
-  let wall = Unix.gettimeofday () -. t0 in
-  Collector.absorb col sink;
-  ( col,
-    Telemetry_sink.dropped sink,
-    Engine.events_processed eng,
-    Net.frames_delivered net,
-    wall )
-
-(* Each shard taps every switch of its own topology copy, but only
-   owned switches ever process frames (boundary frames are shipped to
-   their owning shard), so each hop cards exactly once fabric-wide and
-   merging the shard collectors reproduces the sequential stream. *)
-let run_telemetry_parallel cfg ~shards =
-  let sinks = Array.make shards None in
-  let cols = Array.make shards None in
-  let until = telemetry_until cfg in
-  let t0 = Unix.gettimeofday () in
-  let stats, parts =
-    Parsim.run ~scheduler:`Wheel ~shards ~until
-      ~build:(build ~event_mode:`Typed cfg)
-      ~setup:(fun ~shard ~owns net ->
-        let sink = Telemetry_sink.create () in
-        let col = Collector.create () in
+let telemetry_fabric cfg =
+  let until = (cfg.packets_per_host * cfg.gap_ns) + Time_ns.ms 10 in
+  { build = build cfg; until;
+    merge = (fun (a, drops_a) (b, drops_b) -> Collector.merge ~into:a b; (a, drops_a + drops_b));
+    traffic = (fun ~owns net ->
+        let sink = Telemetry_sink.create () and col = Collector.create () in
         Telemetry_emit.tap_switches sink net;
-        setup_plain_traffic cfg ~owns net;
-        Engine.every (Net.engine net) ~period:telemetry_absorb_period ~until
-          (fun () -> Collector.absorb col sink);
-        sinks.(shard) <- Some sink;
-        cols.(shard) <- Some col)
-      ~collect:(fun ~shard ~owns:_ _ ->
-        let sink = Option.get sinks.(shard) in
-        let col = Option.get cols.(shard) in
-        Collector.absorb col sink;
-        (col, Telemetry_sink.dropped sink))
-      ()
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  let merged = Collector.create () in
-  Array.iter (fun (col, _) -> Collector.merge ~into:merged col) parts;
-  let dropped = Array.fold_left (fun a (_, d) -> a + d) 0 parts in
-  (merged, dropped, stats.Parsim.delivered, wall)
-
-let telemetry_workload_of cfg =
-  Printf.sprintf "%s, binary tap on every switch, 50us collector windows"
-    (engine_workload_of cfg)
-
-let write_telemetry_json cfg ~out ~ingest_cards ~ingest_wall ~ingest_minor
-    ~ingest_max_bytes ~sink_cap ~(sk : sketch_report) ~fab_cards ~fab_events
-    ~fab_delivered ~fab_wall ~fingerprint ~shards ~par_wall =
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": 7,\n\
-    \  \"workload\": \"%s\",\n\
-    \  \"git_commit\": \"%s\",\n\
-    \  \"ocaml\": \"%s\",\n\
-    \  \"cores\": %d,\n\
-    \  \"ingest\": { \"cards\": %d, \"wall_s\": %.6f, \"cards_per_sec\": \
-     %.1f,\n\
-    \              \"minor_words_per_card\": %.3f, \"max_sink_bytes\": %d, \
-     \"sink_cap_bytes\": %d },\n\
-    \  \"sketch\": { \"samples\": %d,\n\
-    \              \"cms\": { \"total\": %d, \"bound\": %d, \
-     \"max_overestimate\": %d, \"underestimates\": %d, \"violations\": %d, \
-     \"merged_identical\": %b },\n\
-    \              \"tdigest\": { \"delta\": %.0f, \"centroids\": %d, \
-     \"max_rank_error\": %.5f, \"max_error_over_bound\": %.3f, \
-     \"merged_max_rank_error\": %.5f } },\n\
-    \  \"fabric\": { \"events\": %d, \"cards\": %d, \"cards_dropped\": 0, \
-     \"packets_delivered\": %d,\n\
-    \              \"wall_s\": %.6f, \"cards_per_sec\": %.1f, \
-     \"collector_fingerprint\": %d },\n\
-    \  \"sharded\": { \"shards\": %d, \"wall_s\": %.6f, \"identical\": true }\n\
-     }\n"
-    (telemetry_workload_of cfg) (git_commit ()) Sys.ocaml_version
-    (Domain.recommended_domain_count ())
-    ingest_cards ingest_wall
-    (float_of_int ingest_cards /. ingest_wall)
-    ingest_minor ingest_max_bytes sink_cap sk.sk_samples sk.cms_total
-    sk.cms_bound sk.cms_max_over sk.cms_under sk.cms_viol sk.cms_merged_equal
-    td_delta sk.td_centroids sk.td_max_err sk.td_max_ratio
-    sk.td_merged_max_err fab_events fab_cards fab_delivered fab_wall
-    (float_of_int fab_cards /. fab_wall)
-    fingerprint shards par_wall;
-  close_out oc;
-  Printf.printf "perf: wrote %s\n%!" out
+        ignore (schedule_load cfg plain ~owns net);
+        Engine.every (Net.engine net) ~period:telemetry_absorb_period ~until (fun () ->
+            Collector.absorb col sink);
+        fun () -> Collector.absorb col sink; (col, Telemetry_sink.dropped sink)) }
 
 let telemetry_bench cfg =
-  let cfg =
-    if cfg.smoke then { cfg with k = 4; packets_per_host = 200 } else cfg
-  in
-  let tag = if cfg.smoke then "perf(telemetry smoke)" else "perf(telemetry)" in
-  Printf.printf "%s: %s\n%!" tag (telemetry_workload_of cfg);
+  let suffix = ", binary tap on every switch, 50us collector windows" in
+  let cfg, tag, workload = start ~suffix cfg "telemetry" plain in
   (* 1. Ingest throughput, best of two so a hiccup cannot fake a miss. *)
-  let ingest_cards = if cfg.smoke then 1_000_000 else 8_000_000 in
-  let run_ingest () = telemetry_ingest ~cards:ingest_cards in
-  let ((icol, isink, iwall, iminor, imax_bytes) as _a) =
-    let a = run_ingest () in
-    let b = run_ingest () in
-    let wall_of (_, _, w, _, _) = w in
-    if wall_of b < wall_of a then b else a
+  let cards = if cfg.smoke then 1_000_000 else 8_000_000 in
+  let icol, isink, iwall, iminor, imax_bytes =
+    let ((_, _, wa, _, _) as a) = telemetry_ingest ~cards in
+    let ((_, _, wb, _, _) as b) = telemetry_ingest ~cards in
+    if wb < wa then b else a
   in
-  let sink_cap =
-    telemetry_max_chunks * telemetry_cards_per_chunk
-    * Telemetry_wire.bytes_per_card
-  in
-  let rate = float_of_int ingest_cards /. iwall in
-  Printf.printf
-    "%s: ingest %d cards in %.3fs (%.3e cards/s, %.3f minor w/card, sink <= \
-     %d bytes)\n%!"
-    tag ingest_cards iwall rate iminor imax_bytes;
-  if Collector.cards icol <> ingest_cards || Telemetry_sink.dropped isink <> 0
-  then begin
-    Printf.eprintf
-      "%s: FAIL — ingest lost cards (%d collected of %d, %d dropped)\n" tag
-      (Collector.cards icol) ingest_cards
+  let sink_cap = telemetry_max_chunks * telemetry_cards_per_chunk * Telemetry_wire.bytes_per_card in
+  let ingest_rate = rate cards iwall in
+  say tag "ingest %d cards in %.3fs (%.3e cards/s, %.3f minor w/card, sink <= %d bytes)" cards iwall
+    ingest_rate iminor imax_bytes;
+  if Collector.cards icol <> cards || Telemetry_sink.dropped isink <> 0 then
+    fail tag "ingest lost cards (%d collected of %d, %d dropped)" (Collector.cards icol) cards
       (Telemetry_sink.dropped isink);
-    exit 1
-  end;
-  if imax_bytes > sink_cap then begin
-    Printf.eprintf
-      "%s: FAIL — sink footprint %d bytes exceeds its %d-byte cap\n" tag
-      imax_bytes sink_cap;
-    exit 1
-  end;
-  if rate < 1e6 then begin
-    Printf.eprintf
-      "%s: FAIL — %.3e cards/sec below the 1e6 sustained target\n" tag rate;
-    exit 1
-  end;
-  (* 2. Bounded memory under overload. *)
-  let cap, held, offered, dropped, drained = telemetry_overload () in
-  Printf.printf
-    "%s: overload %d offered into an 8-chunk sink: %d drained + %d dropped, \
-     %d bytes held (cap %d)\n%!"
-    tag offered drained dropped held cap;
-  if held > cap || dropped = 0 || drained + dropped <> offered then begin
-    Printf.eprintf
-      "%s: FAIL — overloaded sink broke its bound or its accounting\n" tag;
-    exit 1
-  end;
+  if imax_bytes > sink_cap then
+    fail tag "sink footprint %d bytes exceeds its %d-byte cap" imax_bytes sink_cap;
+  if ingest_rate < 1e6 then fail tag "%.3e cards/sec below the 1e6 sustained target" ingest_rate;
+  (* 2. Bounded memory under overload: a small sink fed 10x its capacity with no drain at
+     all must stay at its cap, and every offered card be either drained or counted dropped. *)
+  let cards_per_chunk = 256 and max_chunks = 8 in
+  let sink = Telemetry_sink.create ~cards_per_chunk ~max_chunks () in
+  let cap = max_chunks * cards_per_chunk * Telemetry_wire.bytes_per_card in
+  let offered = 10 * max_chunks * cards_per_chunk in
+  for i = 0 to offered - 1 do
+    Telemetry_sink.emit_hop sink ~now:i ~switch_id:0 ~in_port:0 ~out_port:0 ~queue_bytes:0
+      ~version:1 ~frame_id:i ~flow_hash:0 ~wire_bytes:64 ~entry:0
+  done;
+  let held = Telemetry_sink.card_bytes_alive sink and drained = ref 0 in
+  Telemetry_sink.drain sink (fun _ ~off:_ -> incr drained);
+  let dropped = Telemetry_sink.dropped sink and drained = !drained in
+  say tag "overload %d offered into an 8-chunk sink: %d drained + %d dropped, %d bytes held \
+           (cap %d)" offered drained dropped held cap;
+  if held > cap || dropped = 0 || drained + dropped <> offered then
+    fail tag "overloaded sink broke its bound or its accounting";
   (* 3. Sketches vs exact oracles. *)
-  let sk = telemetry_sketches ~samples:(if cfg.smoke then 50_000 else 200_000) in
-  Printf.printf
-    "%s: cms %d samples, max overestimate %d (bound %d), %d underestimates, \
-     merged shards %s\n%!"
-    tag sk.sk_samples sk.cms_max_over sk.cms_bound sk.cms_under
-    (if sk.cms_merged_equal then "identical" else "DIVERGED");
-  if sk.cms_under > 0 || sk.cms_viol > 0 || not sk.cms_merged_equal then begin
-    Printf.eprintf
-      "%s: FAIL — cms outside its bound (%d underestimates, %d violations, \
-       merged_equal=%b)\n"
-      tag sk.cms_under sk.cms_viol sk.cms_merged_equal;
-    exit 1
-  end;
-  Printf.printf
-    "%s: t-digest %d centroids, max rank error %.5f (%.2f of bound), merged \
-     %.5f (%.2f of 2x bound)\n%!"
-    tag sk.td_centroids sk.td_max_err sk.td_max_ratio sk.td_merged_max_err
-    sk.td_merged_max_ratio;
-  if
-    sk.td_max_ratio > 1.0 || sk.td_merged_max_ratio > 1.0
-    || sk.td_centroids > int_of_float (2.0 *. td_delta) + 8
-  then begin
-    Printf.eprintf
-      "%s: FAIL — t-digest outside the k1 rank bound (or over its centroid \
-       cap: %d)\n"
-      tag sk.td_centroids;
-    exit 1
-  end;
+  let sketch = telemetry_sketches ~tag ~samples:(if cfg.smoke then 50_000 else 200_000) in
   (* 4. Fabric: sequential vs sharded collector identity. *)
-  let col, fab_dropped, fab_events, fab_delivered, fab_wall =
-    run_telemetry_fabric cfg
-  in
-  let fab_cards = Collector.cards col in
-  Printf.printf
-    "%s: fabric %d events, %d cards (%d dropped), %d delivered in %.3fs \
-     (%.3e cards/s)\n%!"
-    tag fab_events fab_cards fab_dropped fab_delivered fab_wall
-    (float_of_int fab_cards /. fab_wall);
-  if fab_dropped <> 0 then begin
-    Printf.eprintf
-      "%s: FAIL — fabric run dropped %d cards (collector fell behind)\n" tag
-      fab_dropped;
-    exit 1
-  end;
-  let shards =
-    if cfg.smoke then 2 else if cfg.shards > 0 then cfg.shards else 4
-  in
-  let par_col, par_dropped, par_delivered, par_wall =
-    run_telemetry_parallel cfg ~shards
-  in
-  if
-    par_dropped <> 0
-    || Collector.cards par_col <> fab_cards
-    || par_delivered <> fab_delivered
-    || Collector.fingerprint par_col <> Collector.fingerprint col
-  then begin
-    Printf.eprintf
-      "%s: FAIL — %d-shard telemetry diverged from sequential\n\
-       %s:   cards %d vs %d (%d dropped), delivered %d vs %d, fingerprint \
-       %d vs %d\n"
-      tag shards tag
-      (Collector.cards par_col)
-      fab_cards par_dropped par_delivered fab_delivered
-      (Collector.fingerprint par_col)
-      (Collector.fingerprint col);
-    exit 1
-  end;
-  Printf.printf
-    "%s: %d-shard fabric %.3fs — merged collector identical to sequential \
-     (fingerprint %d)\n%!"
-    tag shards par_wall
-    (Collector.fingerprint col);
-  Printf.printf
-    "%s: OK — 1e6+ cards/s sustained, memory bounded, sketches inside their \
-     bounds, %d-shard identical\n%!"
-    tag shards;
-  if not cfg.smoke then begin
-    let out = match cfg.out with Some o -> o | None -> "BENCH_7.json" in
-    write_telemetry_json cfg ~out ~ingest_cards ~ingest_wall:iwall
-      ~ingest_minor:iminor ~ingest_max_bytes:imax_bytes ~sink_cap ~sk
-      ~fab_cards ~fab_events ~fab_delivered ~fab_wall
-      ~fingerprint:(Collector.fingerprint col) ~shards ~par_wall
-  end
+  let sc = telemetry_fabric cfg in
+  let fab = run sc in
+  let col, fab_dropped = fab.harvest in
+  let fab_cards = Collector.cards col and fingerprint = Collector.fingerprint col in
+  say tag "fabric %d events, %d cards (%d dropped), %d delivered in %.3fs (%.3e cards/s)" fab.events
+    fab_cards fab_dropped fab.delivered fab.wall (rate fab_cards fab.wall);
+  if fab_dropped <> 0 then
+    fail tag "fabric run dropped %d cards (collector fell behind)" fab_dropped;
+  let shards = gate_shards cfg in
+  let par = run ~shards sc in
+  let par_col, par_dropped = par.harvest in
+  let par_cards = Collector.cards par_col and par_fp = Collector.fingerprint par_col in
+  if par_dropped <> 0 || par_cards <> fab_cards || par.delivered <> fab.delivered
+     || par_fp <> fingerprint
+  then
+    fail tag "%d-shard telemetry diverged from sequential: cards %d vs %d (%d dropped), \
+              delivered %d vs %d, fingerprint %d vs %d" shards par_cards fab_cards par_dropped
+      par.delivered fab.delivered par_fp fingerprint;
+  say tag "%d-shard fabric %.3fs — merged collector identical to sequential (fingerprint %d)"
+    shards par.wall fingerprint;
+  say tag "OK — 1e6+ cards/s sustained, memory bounded, sketches inside their bounds, %d-shard \
+           identical" shards;
+  if not cfg.smoke then
+    write_json (out_path cfg 7)
+      (Obj (header ~bench:7 ~workload
+            @ [ ("ingest",
+                 Obj [ ("cards", int cards); ("wall_s", fixed 6 iwall);
+                       ("cards_per_sec", fixed 1 ingest_rate);
+                       ("minor_words_per_card", fixed 3 iminor);
+                       ("max_sink_bytes", int imax_bytes); ("sink_cap_bytes", int sink_cap) ]);
+                ("sketch", sketch);
+                ("fabric",
+                 Obj [ ("events", int fab.events); ("cards", int fab_cards);
+                       ("cards_dropped", int fab_dropped); ("packets_delivered", int fab.delivered);
+                       ("wall_s", fixed 6 fab.wall);
+                       ("cards_per_sec", fixed 1 (rate fab_cards fab.wall));
+                       ("collector_fingerprint", int fingerprint) ]);
+                ("sharded", sharded_json ~shards par.wall) ]))
 
-(* ---- transports workload (BENCH_8): the five-way FCT gate -----------
+(* ---- BENCH_8: the five-way FCT gate ----------------------------------
 
    The same pre-drawn Poisson/Pareto workload crosses a k=4 fat-tree
    under five transports (Fct.fabric_run): RCP* (TPPs), TCP Reno, DCTCP,
@@ -2185,13 +1080,10 @@ let transports_gate_load = 0.6
 let transports_chaos_drop = 0.01
 let transports_trim_budget = 2.0
 
-let transports_params cfg ~load ~chaos =
-  {
-    Fct.fabric_default with
-    Fct.f_load = load;
+let transports_params ?(load = transports_gate_load) ?(chaos = false) cfg =
+  { Fct.fabric_default with Fct.f_load = load;
     f_duration = (if cfg.smoke then Time_ns.ms 80 else Time_ns.ms 300);
-    f_chaos_drop = (if chaos then transports_chaos_drop else 0.0);
-  }
+    f_chaos_drop = (if chaos then transports_chaos_drop else 0.0) }
 
 (* Trim-vs-drop allocation micro-gate, engine-free: one switch whose
    data subqueue is too small for any data frame, so every ingress
@@ -2201,22 +1093,19 @@ let transports_params cfg ~load ~chaos =
 let trim_microbench ~trim ~iters =
   let dst_ip = Ipv4.Addr.of_host_id 2 in
   let sw = Switch.create ~id:1 ~num_ports:2 () in
-  Switch.install_route sw (Ipv4.Prefix.host dst_ip) ~port:1 ~entry_id:1
-    ~version:1;
+  Switch.install_route sw (Ipv4.Prefix.host dst_ip) ~port:1 ~entry_id:1 ~version:1;
   Switch.configure_queues sw ~port:1 ~count:2;
   Switch.set_subqueue_limit sw ~port:1 ~queue:0 ~bytes:512;
   Switch.set_subqueue_limit sw ~port:1 ~queue:1 ~bytes:1_000_000;
   if trim then Switch.set_trim_keep sw ~keep:28;
-  let pool = Frame.Pool.create ~capacity:4 () in
-  let payload = Bytes.make 1000 'x' in
+  let pool = Frame.Pool.create ~capacity:4 () and payload = Bytes.make 1000 'x' in
   (* The unboxed dequeue, as the simulator drives it: with the option
      API the gate would measure its own [Some] box, not the switch. *)
   let none = Frame.placeholder () in
   let one now =
     let f =
-      Frame.Pool.udp_frame pool ~src_mac:(Mac.of_host_id 1)
-        ~dst_mac:(Mac.of_host_id 2) ~src_ip:(Ipv4.Addr.of_host_id 1)
-        ~dst_ip ~src_port:5 ~dst_port:6 ~payload ()
+      Frame.Pool.udp_frame pool ~src_mac:(Mac.of_host_id 1) ~dst_mac:(Mac.of_host_id 2)
+        ~src_ip:(Ipv4.Addr.of_host_id 1) ~dst_ip ~src_port:5 ~dst_port:6 ~payload ()
     in
     match Switch.handle_ingress sw ~now ~in_port:0 f with
     | Switch.Queued _ ->
@@ -2225,13 +1114,9 @@ let trim_microbench ~trim ~iters =
     | Switch.Dropped _ -> Frame.recycle f
   in
   (* Warm the pool and the priority ring before measuring. *)
-  for i = 0 to 99 do
-    one i
-  done;
+  for i = 0 to 99 do one i done;
   let g0 = gc_mark () in
-  for i = 0 to iters - 1 do
-    one (100 + i)
-  done;
+  for i = 0 to iters - 1 do one (100 + i) done;
   let minor, _ = gc_delta g0 in
   (Switch.trims sw, minor /. float_of_int iters)
 
@@ -2240,235 +1125,134 @@ let trim_microbench ~trim ~iters =
    than its peers is reporting survivor-biased latency — worth a loud
    flag on every row, not just a number in the JSON. *)
 let drain_frac (o : Fct.fabric_outcome) =
-  if o.Fct.fo_started = 0 then 1.0
-  else float_of_int o.Fct.fo_completed /. float_of_int o.Fct.fo_started
+  if o.fo_started = 0 then 1.0 else float_of_int o.fo_completed /. float_of_int o.fo_started
 
 let transports_drain_warn_frac = 0.9
 
+let short_summary (o : Fct.fabric_outcome) =
+  Fct.summarize (Fct.short_samples o ~threshold:Fct.fabric_default.Fct.f_short_bytes)
+
 let transports_row_json (o : Fct.fabric_outcome) ~load ~wall =
-  let s =
-    Fct.summarize
-      (Fct.short_samples o ~threshold:Fct.fabric_default.Fct.f_short_bytes)
+  let long =
+    List.filter (fun (size, _) -> size > Fct.fabric_default.Fct.f_short_bytes) o.Fct.fo_samples
   in
-  let l =
-    Fct.summarize
-      (List.filter
-         (fun (size, _) -> size > Fct.fabric_default.Fct.f_short_bytes)
-         o.Fct.fo_samples)
+  let part (f : Fct.fct_summary) =
+    Obj [ ("n", int f.Fct.fs_n); ("mean_ns", fixed 0 f.Fct.fs_mean_ns);
+          ("p50_ns", int f.Fct.fs_p50_ns); ("p99_ns", int f.Fct.fs_p99_ns) ]
   in
-  let a = Fct.summarize o.Fct.fo_samples in
-  let part name (f : Fct.fct_summary) =
-    Printf.sprintf
-      "\"%s\": { \"n\": %d, \"mean_ns\": %.0f, \"p50_ns\": %d, \"p99_ns\": %d }"
-      name f.Fct.fs_n f.Fct.fs_mean_ns f.Fct.fs_p50_ns f.Fct.fs_p99_ns
-  in
-  Printf.sprintf
-    "    { \"transport\": \"%s\", \"load\": %.2f, \"started\": %d, \
-     \"completed\": %d, \"completed_frac\": %.3f, %s, %s, %s, \"drops\": %d, \
-     \"trims\": %d, \"events\": %d, \"wall_s\": %.3f }"
-    (Fct.transport_name o.Fct.fo_transport)
-    load o.Fct.fo_started o.Fct.fo_completed (drain_frac o) (part "short" s)
-    (part "long" l) (part "all" a) o.Fct.fo_drops o.Fct.fo_trims
-    o.Fct.fo_events wall
+  Obj [ ("transport", Str (Fct.transport_name o.Fct.fo_transport)); ("load", fixed 2 load);
+        ("started", int o.Fct.fo_started); ("completed", int o.Fct.fo_completed);
+        ("completed_frac", fixed 3 (drain_frac o)); ("short", part (short_summary o));
+        ("long", part (Fct.summarize long)); ("all", part (Fct.summarize o.Fct.fo_samples));
+        ("drops", int o.Fct.fo_drops); ("trims", int o.Fct.fo_trims);
+        ("events", int o.Fct.fo_events); ("wall_s", fixed 3 wall) ]
 
 let transports_bench cfg =
-  let tag =
-    if cfg.smoke then "perf(transports smoke)" else "perf(transports)"
-  in
-  let loads =
-    if cfg.smoke then [ transports_gate_load ] else [ 0.2; 0.4; 0.6; 0.8 ]
-  in
+  let tag = tag_of cfg "transports" and fd = Fct.fabric_default in
+  let loads = if cfg.smoke then [ transports_gate_load ] else [ 0.2; 0.4; 0.6; 0.8 ] in
   let shards = if cfg.shards > 0 then cfg.shards else 4 in
-  Printf.printf "%s: k=%d fat-tree, loads [%s], %d shards for identity\n%!" tag
-    Fct.fabric_default.Fct.fk
-    (String.concat "; " (List.map (Printf.sprintf "%.2f") loads))
-    shards;
+  say tag "k=%d fat-tree, loads [%s], %d shards for identity" fd.Fct.fk
+    (String.concat "; " (List.map (Printf.sprintf "%.2f") loads)) shards;
   (* Sequential rows: transport x load. *)
-  let rows = ref [] in
-  let gate = Hashtbl.create 8 in
-  let min_frac = ref 1.0 in
-  let drain_warnings = ref 0 in
-  List.iter
-    (fun transport ->
-      List.iter
-        (fun load ->
-          let p = transports_params cfg ~load ~chaos:false in
-          let t0 = Unix.gettimeofday () in
-          let o = Fct.fabric_run transport p in
-          let wall = Unix.gettimeofday () -. t0 in
-          if load = transports_gate_load then
-            Hashtbl.replace gate transport o;
-          let s =
-            Fct.summarize (Fct.short_samples o ~threshold:p.Fct.f_short_bytes)
-          in
-          Printf.printf
-            "%s: %-8s load %.2f  %d/%d done (%3.0f%%)  short p50 %6.0fus p99 \
-             %6.0fus  drops %d trims %d (%.2fs)\n%!"
-            tag
-            (Fct.transport_name transport)
-            load o.Fct.fo_completed o.Fct.fo_started
-            (100.0 *. drain_frac o)
-            (float_of_int s.Fct.fs_p50_ns /. 1e3)
-            (float_of_int s.Fct.fs_p99_ns /. 1e3)
-            o.Fct.fo_drops o.Fct.fo_trims wall;
-          let frac = drain_frac o in
-          if frac < !min_frac then min_frac := frac;
-          if frac < transports_drain_warn_frac then begin
-            incr drain_warnings;
-            Printf.printf
-              "%s: WARNING — %s at load %.2f drained only %d of %d started \
-               flows (%.0f%% < %.0f%%): its FCT percentiles cover completed \
-               flows only and are survivor-biased\n%!"
-              tag
-              (Fct.transport_name transport)
-              load o.Fct.fo_completed o.Fct.fo_started (100.0 *. frac)
-              (100.0 *. transports_drain_warn_frac)
-          end;
-          rows := transports_row_json o ~load ~wall :: !rows)
-        loads)
-    Fct.all_transports;
-  let rows = List.rev !rows in
-  (* Gate 1: NDP beats TCP on 99p short-flow FCT at the gate load. *)
-  let p99_short transport =
-    let o = Hashtbl.find gate transport in
-    (Fct.summarize
-       (Fct.short_samples o
-          ~threshold:Fct.fabric_default.Fct.f_short_bytes))
-      .Fct.fs_p99_ns
+  let gate = Hashtbl.create 8 and min_frac = ref 1.0 and drain_warnings = ref 0 in
+  let row transport load =
+    let t0 = Unix.gettimeofday () in
+    let o = Fct.fabric_run transport (transports_params ~load cfg) in
+    let wall = Unix.gettimeofday () -. t0 in
+    if load = transports_gate_load then Hashtbl.replace gate transport o;
+    let s = short_summary o and frac = drain_frac o and name = Fct.transport_name transport in
+    say tag "%-8s load %.2f  %d/%d done (%3.0f%%)  short p50 %6.0fus p99 %6.0fus  drops %d trims \
+             %d (%.2fs)" name load o.Fct.fo_completed o.Fct.fo_started (100.0 *. frac)
+      (float_of_int s.Fct.fs_p50_ns /. 1e3) (float_of_int s.Fct.fs_p99_ns /. 1e3) o.Fct.fo_drops
+      o.Fct.fo_trims wall;
+    min_frac := Float.min !min_frac frac;
+    if frac < transports_drain_warn_frac then begin
+      incr drain_warnings;
+      say tag "WARNING — %s at load %.2f drained only %d of %d started flows (%.0f%% < %.0f%%): \
+               its FCT percentiles cover completed flows only and are survivor-biased" name load
+        o.Fct.fo_completed o.Fct.fo_started (100.0 *. frac) (100.0 *. transports_drain_warn_frac)
+    end;
+    transports_row_json o ~load ~wall
   in
-  let ndp_p99 = p99_short Fct.Ndp_t in
-  let tcp_p99 = p99_short Fct.Tcp_t in
-  if ndp_p99 <= 0 || ndp_p99 >= tcp_p99 then begin
-    Printf.eprintf
-      "%s: FAIL — NDP 99p short-flow FCT (%dns) does not beat TCP (%dns) at \
-       load %.2f\n"
-      tag ndp_p99 tcp_p99 transports_gate_load;
-    exit 1
-  end;
-  Printf.printf "%s: NDP 99p short FCT %.0fus beats TCP %.0fus at load %.2f\n%!"
-    tag
-    (float_of_int ndp_p99 /. 1e3)
-    (float_of_int tcp_p99 /. 1e3)
-    transports_gate_load;
+  let rows = List.concat_map (fun t -> List.map (row t) loads) Fct.all_transports in
+  (* Gate 1: NDP beats TCP on 99p short-flow FCT at the gate load. *)
+  let p99_short t = (short_summary (Hashtbl.find gate t)).Fct.fs_p99_ns in
+  let ndp_p99 = p99_short Fct.Ndp_t and tcp_p99 = p99_short Fct.Tcp_t in
+  if ndp_p99 <= 0 || ndp_p99 >= tcp_p99 then
+    fail tag "NDP 99p short-flow FCT (%dns) does not beat TCP (%dns) at load %.2f" ndp_p99 tcp_p99
+      transports_gate_load;
+  say tag "NDP 99p short FCT %.0fus beats TCP %.0fus at load %.2f" (float_of_int ndp_p99 /. 1e3)
+    (float_of_int tcp_p99 /. 1e3) transports_gate_load;
   (* Gate 2: sequential vs sharded identity, all five transports. *)
   List.iter
     (fun transport ->
-      let p = transports_params cfg ~load:transports_gate_load ~chaos:false in
       let seq = Hashtbl.find gate transport in
-      let par = Fct.fabric_run ~shards transport p in
-      if Fct.fingerprint seq <> Fct.fingerprint par then begin
-        Printf.eprintf
-          "%s: FAIL — %s diverged under %d shards (seq %d/%d vs par %d/%d \
-           completed/started)\n"
-          tag
-          (Fct.transport_name transport)
-          shards seq.Fct.fo_completed seq.Fct.fo_started par.Fct.fo_completed
-          par.Fct.fo_started;
-        exit 1
-      end)
+      let par = Fct.fabric_run ~shards transport (transports_params cfg) in
+      if Fct.fingerprint seq <> Fct.fingerprint par then
+        fail tag "%s diverged under %d shards (seq %d/%d vs par %d/%d completed/started)"
+          (Fct.transport_name transport) shards seq.Fct.fo_completed seq.Fct.fo_started
+          par.Fct.fo_completed par.Fct.fo_started)
     Fct.all_transports;
-  Printf.printf
-    "%s: all five transports bit-identical sequential vs %d shards\n%!" tag
-    shards;
+  say tag "all five transports bit-identical sequential vs %d shards" shards;
   (* Gate 3: NDP completes everything under the chaotic drop schedule.
      The gate is about loss *recovery*, so the workload is shaped to
      make 100% completion the right criterion: moderate load and a
      flow-size cap, because at peak load an uncapped Pareto tail can
      leave a pair with more backlog at the arrival window's end than
      any transport can drain before the horizon, drops or not. *)
-  let chaos_p =
-    {
-      (transports_params cfg ~load:0.4 ~chaos:true) with
-      Fct.f_max_bytes = 100_000;
-    }
+  let chaos_o =
+    Fct.fabric_run Fct.Ndp_t
+      { (transports_params ~load:0.4 ~chaos:true cfg) with Fct.f_max_bytes = 100_000 }
   in
-  let chaos_o = Fct.fabric_run Fct.Ndp_t chaos_p in
-  if
-    chaos_o.Fct.fo_started = 0
-    || chaos_o.Fct.fo_completed <> chaos_o.Fct.fo_started
-    || not chaos_o.Fct.fo_ok
-  then begin
-    Printf.eprintf
-      "%s: FAIL — NDP under %.0f%% access-link drop completed %d of %d \
-       (invariants %s)\n"
-      tag
-      (transports_chaos_drop *. 100.0)
-      chaos_o.Fct.fo_completed chaos_o.Fct.fo_started
-      (if chaos_o.Fct.fo_ok then "ok" else "VIOLATED");
-    exit 1
-  end;
-  Printf.printf
-    "%s: NDP chaos (%.0f%% drop): %d/%d messages completed, invariants ok, \
-     %d trims\n%!"
-    tag
-    (transports_chaos_drop *. 100.0)
-    chaos_o.Fct.fo_completed chaos_o.Fct.fo_started chaos_o.Fct.fo_trims;
+  let started = chaos_o.Fct.fo_started and completed = chaos_o.Fct.fo_completed in
+  let drop_pct = transports_chaos_drop *. 100.0 in
+  if started = 0 || completed <> started || not chaos_o.Fct.fo_ok then
+    fail tag "NDP under %.0f%% access-link drop completed %d of %d (invariants %s)" drop_pct
+      completed started (if chaos_o.Fct.fo_ok then "ok" else "VIOLATED");
+  say tag "NDP chaos (%.0f%% drop): %d/%d messages completed, invariants ok, %d trims" drop_pct
+    completed started chaos_o.Fct.fo_trims;
   (* Gate 4: the trim hot path is allocation-free (<= budget delta). *)
   let iters = if cfg.smoke then 20_000 else 200_000 in
   let drop_trims, drop_pe = trim_microbench ~trim:false ~iters in
   let trim_trims, trim_pe = trim_microbench ~trim:true ~iters in
-  if drop_trims <> 0 || trim_trims < iters then begin
-    Printf.eprintf "%s: FAIL — trim microbench did not exercise the trim path\n"
-      tag;
-    exit 1
-  end;
+  if drop_trims <> 0 || trim_trims < iters then
+    fail tag "trim microbench did not exercise the trim path";
   let delta = trim_pe -. drop_pe in
-  Printf.printf
-    "%s: trim hot path %.2f minor w/frame vs drop %.2f (delta %.2f, budget \
-     %.1f)\n%!"
-    tag trim_pe drop_pe delta transports_trim_budget;
-  if delta > transports_trim_budget then begin
-    Printf.eprintf
-      "%s: FAIL — trimmed-header path allocates %.2f minor words/frame over \
-       the drop path (budget %.1f)\n"
-      tag delta transports_trim_budget;
-    exit 1
-  end;
-  Printf.printf
-    "%s: OK — NDP beats TCP on short flows, identity holds, chaos completes, \
-     trim is allocation-free\n%!"
-    tag;
-  let out = match cfg.out with Some o -> o | None -> "BENCH_8.json" in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"transports\",\n\
-    \  \"smoke\": %b,\n\
-    \  \"git_commit\": \"%s\",\n\
-    \  \"ocaml_version\": \"%s\",\n\
-    \  \"fabric\": { \"k\": %d, \"link_bps\": %d, \"delay_ns\": %d, \
-     \"mean_flow_bytes\": %.0f, \"pareto_shape\": %.2f, \"duration_ns\": %d, \
-     \"short_threshold_bytes\": %d },\n\
-    \  \"rows\": [\n%s\n  ],\n\
-    \  \"gates\": {\n\
-    \    \"ndp_vs_tcp_p99_short_ns\": { \"ndp\": %d, \"tcp\": %d, \"load\": \
-     %.2f },\n\
-    \    \"identity_shards\": %d,\n\
-    \    \"chaos\": { \"drop\": %.3f, \"started\": %d, \"completed\": %d, \
-     \"trims\": %d },\n\
-    \    \"drain\": { \"min_completed_frac\": %.3f, \"warn_below\": %.2f, \
-     \"warnings\": %d },\n\
-    \    \"trim_minor_words_per_frame\": { \"trim\": %.3f, \"drop\": %.3f, \
-     \"delta\": %.3f, \"budget\": %.1f }\n\
-    \  }\n\
-     }\n"
-    cfg.smoke (git_commit ()) Sys.ocaml_version Fct.fabric_default.Fct.fk
-    Fct.fabric_default.Fct.f_bps Fct.fabric_default.Fct.f_delay_ns
-    Fct.fabric_default.Fct.f_mean_bytes Fct.fabric_default.Fct.f_shape
-    (transports_params cfg ~load:transports_gate_load ~chaos:false)
-      .Fct.f_duration
-    Fct.fabric_default.Fct.f_short_bytes
-    (String.concat ",\n" rows)
-    ndp_p99 tcp_p99 transports_gate_load shards transports_chaos_drop
-    chaos_o.Fct.fo_started chaos_o.Fct.fo_completed chaos_o.Fct.fo_trims
-    !min_frac transports_drain_warn_frac !drain_warnings trim_pe drop_pe delta
-    transports_trim_budget;
-  close_out oc;
-  Printf.printf "%s: wrote %s\n%!" tag out
+  say tag "trim hot path %.2f minor w/frame vs drop %.2f (delta %.2f, budget %.1f)" trim_pe drop_pe
+    delta transports_trim_budget;
+  if delta > transports_trim_budget then
+    fail tag "trimmed-header path allocates %.2f minor words/frame over the drop path (budget %.1f)"
+      delta transports_trim_budget;
+  say tag "OK — NDP beats TCP on short flows, identity holds, chaos completes, trim is \
+           allocation-free";
+  write_json (out_path cfg 8)
+    (Obj [ ("bench", Str "transports"); ("smoke", bool cfg.smoke);
+           ("git_commit", Str (git_commit ())); ("ocaml_version", Str Sys.ocaml_version);
+           ("fabric", Obj [ ("k", int fd.Fct.fk); ("link_bps", int fd.Fct.f_bps);
+                            ("delay_ns", int fd.Fct.f_delay_ns);
+                            ("mean_flow_bytes", fixed 0 fd.Fct.f_mean_bytes);
+                            ("pareto_shape", fixed 2 fd.Fct.f_shape);
+                            ("duration_ns", int (transports_params cfg).Fct.f_duration);
+                            ("short_threshold_bytes", int fd.Fct.f_short_bytes) ]);
+           ("rows", Arr rows);
+           ("gates",
+            Obj [ ("ndp_vs_tcp_p99_short_ns", Obj [ ("ndp", int ndp_p99); ("tcp", int tcp_p99);
+                                                    ("load", fixed 2 transports_gate_load) ]);
+                  ("identity_shards", int shards);
+                  ("chaos", Obj [ ("drop", fixed 3 transports_chaos_drop);
+                                  ("started", int started); ("completed", int completed);
+                                  ("trims", int chaos_o.Fct.fo_trims) ]);
+                  ("drain", Obj [ ("min_completed_frac", fixed 3 !min_frac);
+                                  ("warn_below", fixed 2 transports_drain_warn_frac);
+                                  ("warnings", int !drain_warnings) ]);
+                  ("trim_minor_words_per_frame",
+                   Obj [ ("trim", fixed 3 trim_pe); ("drop", fixed 3 drop_pe);
+                         ("delta", fixed 3 delta); ("budget", fixed 1 transports_trim_budget) ])
+                ]) ])
 
-(* ---- scale workload (BENCH_9): the million-host fabric gate ---------
+(* ---- BENCH_9: the million-host fabric gate ---------------------------
 
-   Three claims behind the ROADMAP's million-host item, each measured:
+   Three claims behind the million-host work, each measured:
 
    1. Aggregated FIBs. Under `Pods addressing every switch installs
       O(1) prefix entries — a Connected block route over everything
@@ -2493,507 +1277,219 @@ let transports_bench cfg =
 
 let scale_bytes_budget = 200.0
 let scale_fib_reduction_target = 50.0
-let scale_link_bps = 10_000_000_000
-let scale_link_delay = Time_ns.us 1
 
-let scale_build ?event_mode ~fib cfg eng =
-  let ft =
-    Topology.fat_tree eng ~wire_check:cfg.wire_check ?event_mode ~ecmp:true
-      ~addressing:`Pods ~fib ~k:cfg.k ~bps:scale_link_bps
-      ~delay:scale_link_delay ()
-  in
-  ft.Topology.f_net
+let fib_per_switch (r : tally outcome) =
+  float_of_int r.harvest.fib_entries /. float_of_int (max 1 r.harvest.switches)
 
-let fib_per_switch net =
-  let total = ref 0 and n = ref 0 in
-  List.iter
-    (fun (_, sw) ->
-      incr n;
-      total := !total + Switch.l3_size sw)
-    (Net.switches net);
-  float_of_int !total /. float_of_int (max 1 !n)
-
-let run_scale_fabric cfg ~fib =
-  let eng = Engine.create ~scheduler:`Wheel () in
-  let net = scale_build ~event_mode:`Typed ~fib cfg eng in
-  ignore (setup_pooled_traffic cfg ~owns:(fun _ -> true) net);
-  let g0 = gc_mark () in
-  let t0 = Unix.gettimeofday () in
-  Engine.run eng ~until:horizon;
-  let wall = Unix.gettimeofday () -. t0 in
-  let minor, promoted = gc_delta g0 in
-  let events = Engine.events_processed eng in
-  ( { g_events = events; g_delivered = Net.frames_delivered net; g_wall = wall;
-      g_minor_pe = per_event minor events;
-      g_promoted_pe = per_event promoted events;
-      g_fp = net_fp ~owns:(fun _ -> true) net },
-    fib_per_switch net )
-
-let run_scale_parallel cfg ~fib ~shards =
-  let stats, parts =
-    Parsim.run ~scheduler:`Wheel ~shards ~until:horizon
-      ~build:(scale_build ~event_mode:`Typed ~fib cfg)
-      ~setup:(fun ~shard:_ ~owns net ->
-        ignore (setup_pooled_traffic cfg ~owns net))
-      ~collect:(fun ~shard:_ ~owns net -> net_fp ~owns net)
-      ()
-  in
-  let fp =
-    Array.to_list parts |> List.concat
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  (stats.Parsim.events, stats.Parsim.delivered, fp)
-
-(* Build-memory probe: compacted live words before and after running
-   [f], whose result is kept alive across the second compaction so the
-   delta is the structure's steady-state footprint, not its garbage. *)
-let scale_build_bytes f =
+(* Build-memory probe: compacted live words before and after building
+   on a fresh engine, the result kept alive across the second
+   compaction so the delta is the structure's steady-state footprint,
+   not its garbage. *)
+let scale_build_bytes build =
   Gc.compact ();
   let w0 = (Gc.stat ()).Gc.live_words in
-  let keep = Sys.opaque_identity (f ()) in
+  let keep = Sys.opaque_identity (build (Engine.create ())) in
   Gc.compact ();
   let w1 = (Gc.stat ()).Gc.live_words in
   ignore (Sys.opaque_identity keep);
   (w1 - w0) * (Sys.word_size / 8)
 
-let scale_fat_tree_bytes_per_host cfg =
-  let hosts = cfg.k * cfg.k * cfg.k / 4 in
-  let bytes =
-    scale_build_bytes (fun () ->
-        let eng = Engine.create ~scheduler:`Wheel () in
-        (eng, scale_build ~event_mode:`Typed ~fib:`Aggregated cfg eng))
-  in
-  float_of_int bytes /. float_of_int hosts
-
-let scale_leaf_spine_bytes ~leaves ~spines ~hosts_per_leaf =
-  let hosts = leaves * hosts_per_leaf in
-  let bytes =
-    scale_build_bytes (fun () ->
-        let eng = Engine.create ~scheduler:`Wheel () in
-        let ls =
-          Topology.leaf_spine eng ~ecmp:true ~leaves ~spines ~hosts_per_leaf
-            ~bps:scale_link_bps ~delay:scale_link_delay ()
-        in
-        (eng, ls))
-  in
-  (hosts, float_of_int bytes /. float_of_int hosts)
-
 (* The k=16 row's throughput floor: the pooled fabric rate BENCH_6
-   recorded on this machine. Read back with the same first-occurrence
-   key scan bench/report.ml uses — BENCH_6's top-level events_per_sec
-   precedes its oracle subobject. *)
+   recorded on this machine — its first "events_per_sec", the top-level
+   one, which precedes its oracle subobject (bench/report.ml reads it
+   the same way). *)
 let scale_floor () =
-  let path = "BENCH_6.json" in
+  let path = "BENCH_6.json" and needle = "\"events_per_sec\":" in
   if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in_bin path in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    let needle = "\"events_per_sec\":" in
+  else
+    let text = In_channel.with_open_bin path In_channel.input_all in
     let nl = String.length needle and tl = String.length text in
     let rec find i =
       if i + nl > tl then None
-      else if String.sub text i nl = needle then Some (i + nl)
+      else if String.sub text i nl = needle then
+        Scanf.sscanf_opt (String.sub text (i + nl) (tl - i - nl)) " %f" Fun.id
       else find (i + 1)
     in
-    match find 0 with
-    | None -> None
-    | Some start ->
-      let s = ref start in
-      while !s < tl && (text.[!s] = ' ' || text.[!s] = '\n') do incr s done;
-      let e = ref !s in
-      while
-        !e < tl
-        && (match text.[!e] with
-           | '0' .. '9' | '-' | '.' | 'e' | '+' -> true
-           | _ -> false)
-      do
-        incr e
-      done;
-      if !e = !s then None
-      else float_of_string_opt (String.sub text !s (!e - !s))
-  end
+    find 0
 
-type scale_row = {
-  s_k : int;
-  s_hosts : int;
-  s_switches : int;
-  s_run : engine_run;
-  s_fib : float;          (* aggregated L3 entries per switch *)
-  s_fib_oracle : float;   (* per-host /32 entries per switch *)
-  s_oracle_measured : bool;
-  s_bytes_per_host : float;
-  s_shards : int;
-}
-
-(* One fabric size: timed aggregated run, oracle equivalence, sharded
-   identity, FIB census and build footprint. Exits on any divergence. *)
-let scale_row cfg ~tag ~shards ~measure_oracle ~timed =
-  let hosts = cfg.k * cfg.k * cfg.k / 4 in
-  let switches = 5 * cfg.k * cfg.k / 4 in
-  Printf.printf "%s: k=%d — %s, aggregated FIBs\n%!" tag cfg.k
-    (engine_workload_of cfg);
-  let agg, agg_fib =
-    if timed then begin
-      let a = run_scale_fabric cfg ~fib:`Aggregated in
-      let b = run_scale_fabric cfg ~fib:`Aggregated in
-      if (fst b).g_wall < (fst a).g_wall then b else a
-    end
-    else run_scale_fabric cfg ~fib:`Aggregated
-  in
-  Printf.printf
-    "%s: k=%d aggregated  %d events, %d delivered in %.3fs (%.3e ev/s, %.2f \
-     minor w/ev), %.1f FIB entries/switch\n%!"
-    tag cfg.k agg.g_events agg.g_delivered agg.g_wall
-    (float_of_int agg.g_events /. agg.g_wall)
-    agg.g_minor_pe agg_fib;
+(* One fabric size: timed aggregated run, oracle equivalence (the /32 census in closed form
+   when [measure_oracle] is off), the FIB reduction gate, sharded identity and build
+   footprint. Exits on any failure; returns the run, its FIB reduction and its JSON row. *)
+let scale_row cfg ~tag ~shards ~measure_oracle ~timed ~min_reduction =
+  let hosts = hosts cfg in
+  say tag "k=%d — %s, aggregated FIBs" cfg.k (workload_of cfg plain);
+  let sc fib = fabric cfg ~topo:(build ~addressing:`Pods ~fib cfg) pooled in
+  let agg_sc = sc `Aggregated in
+  let agg = if timed then best_of_two (fun () -> run agg_sc) else run agg_sc in
+  let fib = fib_per_switch agg in
+  say tag "k=%d aggregated  %d events, %d delivered in %.3fs (%.3e ev/s, %.2f minor w/ev), %.1f \
+           FIB entries/switch" cfg.k agg.events agg.delivered agg.wall (rate agg.events agg.wall)
+    agg.minor_pe fib;
   let fib_oracle =
     if measure_oracle then begin
-      let orc, orc_fib = run_scale_fabric cfg ~fib:`Host32 in
-      if
-        orc.g_events <> agg.g_events
-        || orc.g_delivered <> agg.g_delivered
-        || orc.g_fp <> agg.g_fp
-      then begin
-        Printf.eprintf
-          "%s: FAIL — k=%d aggregated FIBs diverged from the /32 oracle \
-           (%d/%d events, %d/%d delivered)\n"
-          tag cfg.k agg.g_events orc.g_events agg.g_delivered orc.g_delivered;
-        exit 1
-      end;
-      Printf.printf
-        "%s: k=%d oracle      identical registers at %.1f FIB entries/switch \
-         (%.1fx more)\n%!"
-        tag cfg.k orc_fib (orc_fib /. agg_fib);
+      let orc = run (sc `Host32) in
+      same tag (Printf.sprintf "k=%d aggregated FIBs vs the /32 oracle" cfg.k) orc agg;
+      let orc_fib = fib_per_switch orc in
+      say tag "k=%d oracle      identical registers at %.1f FIB entries/switch (%.1fx more)" cfg.k
+        orc_fib (orc_fib /. fib);
       orc_fib
     end
     else begin
-      (* The /32 oracle installs one host route on every switch, so its
-         per-switch count is exactly [hosts] — the closed form the
-         measured counts confirm at every k where the trie fits. *)
-      Printf.printf
-        "%s: k=%d oracle      counted analytically: %d /32 entries/switch \
-         (trie would not fit — the point of aggregation)\n%!"
-        tag cfg.k hosts;
+      say tag "k=%d oracle      counted analytically: %d /32 entries/switch (trie would not fit \
+               — the point of aggregation)" cfg.k hosts;
       float_of_int hosts
     end
   in
-  let par_events, par_delivered, par_fp =
-    run_scale_parallel cfg ~fib:`Aggregated ~shards
+  let reduction = fib_oracle /. fib in
+  if reduction < min_reduction then
+    fail tag "k=%d FIB shrank only %.1fx (%.2f vs %.1f entries/switch, target %.0fx)" cfg.k
+      reduction fib fib_oracle min_reduction;
+  ignore (sharded tag ~shards (Printf.sprintf "k=%d aggregated run" cfg.k) agg_sc agg);
+  say tag "k=%d %d-shard     identical to sequential" cfg.k shards;
+  let bytes_per_host =
+    float_of_int (scale_build_bytes (build ~addressing:`Pods ~fib:`Aggregated cfg))
+    /. float_of_int hosts
   in
-  if
-    par_events <> agg.g_events
-    || par_delivered <> agg.g_delivered
-    || par_fp <> agg.g_fp
-  then begin
-    Printf.eprintf
-      "%s: FAIL — k=%d %d-shard aggregated run diverged from sequential \
-       (%d/%d events, %d/%d delivered)\n"
-      tag cfg.k shards par_events agg.g_events par_delivered agg.g_delivered;
-    exit 1
-  end;
-  Printf.printf "%s: k=%d %d-shard     identical to sequential\n%!" tag cfg.k
-    shards;
-  let bytes_per_host = scale_fat_tree_bytes_per_host cfg in
-  Printf.printf "%s: k=%d build       %.1f bytes/host\n%!" tag cfg.k
-    bytes_per_host;
-  {
-    s_k = cfg.k;
-    s_hosts = hosts;
-    s_switches = switches;
-    s_run = agg;
-    s_fib = agg_fib;
-    s_fib_oracle = fib_oracle;
-    s_oracle_measured = measure_oracle;
-    s_bytes_per_host = bytes_per_host;
-    s_shards = shards;
-  }
+  say tag "k=%d build       %.1f bytes/host" cfg.k bytes_per_host;
+  ( agg, reduction,
+    [ ("k", int cfg.k); ("hosts", int hosts); ("switches", int (5 * cfg.k * cfg.k / 4)) ]
+    @ run_keys ~drop:[ "promoted_words_per_event" ] agg
+    @ [ ("fib_entries_per_switch", fixed 2 fib);
+        ("fib_oracle_entries_per_switch", fixed 1 fib_oracle); ("fib_reduction", fixed 1 reduction);
+        ("oracle_measured", bool measure_oracle); ("bytes_per_host", fixed 1 bytes_per_host);
+        ("shards", int shards); ("identical", bool true) ] )
+
+let leaf_spine ?wire_check ~leaves ~spines ~hosts_per_leaf eng =
+  (Topology.leaf_spine eng ?wire_check ~ecmp:true ~leaves ~spines ~hosts_per_leaf
+     ~bps:10_000_000_000 ~delay:(Time_ns.us 1) ()).Topology.ls_net
 
 (* Leaf-spine forwarding sanity: a small fabric must deliver every
    pooled frame and agree bit-for-bit with its own sharded run — the
    memory-lean build is only interesting if it still forwards. *)
 let scale_leaf_spine_traffic cfg ~tag ~shards =
   let leaves = 8 and spines = 4 and hosts_per_leaf = 10 in
-  let build ?event_mode:_ eng =
-    (Topology.leaf_spine eng ~wire_check:cfg.wire_check ~ecmp:true ~leaves
-       ~spines ~hosts_per_leaf ~bps:scale_link_bps ~delay:scale_link_delay ())
-      .Topology.ls_net
+  let sc =
+    fabric cfg ~topo:(leaf_spine ~wire_check:cfg.wire_check ~leaves ~spines ~hosts_per_leaf) pooled
   in
-  let eng = Engine.create ~scheduler:`Wheel () in
-  let net = build eng in
-  ignore (setup_pooled_traffic cfg ~owns:(fun _ -> true) net);
-  Engine.run eng ~until:horizon;
-  let sent = leaves * hosts_per_leaf * cfg.packets_per_host in
-  let delivered = Net.frames_delivered net in
-  if delivered <> sent then begin
-    Printf.eprintf
-      "%s: FAIL — leaf-spine delivered %d of %d pooled frames\n" tag delivered
-      sent;
-    exit 1
-  end;
-  let seq_fp = net_fp ~owns:(fun _ -> true) net in
-  let stats, parts =
-    Parsim.run ~scheduler:`Wheel ~shards ~until:horizon ~build
-      ~setup:(fun ~shard:_ ~owns net ->
-        ignore (setup_pooled_traffic cfg ~owns net))
-      ~collect:(fun ~shard:_ ~owns net -> net_fp ~owns net)
-      ()
-  in
-  let par_fp =
-    Array.to_list parts |> List.concat
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  if stats.Parsim.delivered <> delivered || par_fp <> seq_fp then begin
-    Printf.eprintf
-      "%s: FAIL — %d-shard leaf-spine diverged from sequential (%d vs %d \
-       delivered)\n"
-      tag shards stats.Parsim.delivered delivered;
-    exit 1
-  end;
-  Printf.printf
-    "%s: leaf-spine %dx%d (%d hosts) delivered all %d frames, %d-shard \
-     identical\n%!"
-    tag leaves spines (leaves * hosts_per_leaf) sent shards
-
-let write_scale_json ~out ~(rows : scale_row list) ~floor ~ls =
-  let ls_leaves, ls_spines, ls_hpl, ls_hosts, ls_bph = ls in
-  let headline = List.hd rows in
-  let row_json (r : scale_row) =
-    Printf.sprintf
-      "    { \"k\": %d, \"hosts\": %d, \"switches\": %d, \"events\": %d, \
-       \"packets_delivered\": %d, \"wall_s\": %.6f, \"events_per_sec\": \
-       %.1f,\n\
-      \      \"minor_words_per_event\": %.3f, \"fib_entries_per_switch\": \
-       %.2f, \"fib_oracle_entries_per_switch\": %.1f, \"fib_reduction\": \
-       %.1f,\n\
-      \      \"oracle_measured\": %b, \"bytes_per_host\": %.1f, \"shards\": \
-       %d, \"identical\": true }"
-      r.s_k r.s_hosts r.s_switches r.s_run.g_events r.s_run.g_delivered
-      r.s_run.g_wall
-      (float_of_int r.s_run.g_events /. r.s_run.g_wall)
-      r.s_run.g_minor_pe r.s_fib r.s_fib_oracle
-      (r.s_fib_oracle /. r.s_fib)
-      r.s_oracle_measured r.s_bytes_per_host r.s_shards
-  in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": 9,\n\
-    \  \"workload\": \"aggregated-FIB fat-trees (pooled plain UDP) + \
-     leaf-spine build memory\",\n\
-    \  \"git_commit\": \"%s\",\n\
-    \  \"ocaml\": \"%s\",\n\
-    \  \"cores\": %d,\n\
-    \  \"hosts\": %d,\n\
-    \  \"events\": %d,\n\
-    \  \"wall_s\": %.6f,\n\
-    \  \"events_per_sec\": %.1f,\n\
-    \  \"minor_words_per_event\": %.3f,\n\
-    \  \"bytes_per_host\": %.1f,\n\
-    \  \"fib_entries_per_switch\": %.2f,\n\
-    \  \"fib_reduction\": %.1f,\n\
-    \  \"events_per_sec_floor\": { \"source\": \"BENCH_6.json\", \"floor\": \
-     %s, \"enforced\": %b },\n\
-    \  \"rows\": [\n%s\n  ],\n\
-    \  \"leaf_spine\": { \"leaves\": %d, \"spines\": %d, \"hosts_per_leaf\": \
-     %d, \"hosts\": %d,\n\
-    \                  \"bytes_per_host\": %.1f, \"budget_bytes_per_host\": \
-     %.0f },\n\
-    \  \"identical\": true\n\
-     }\n"
-    (git_commit ()) Sys.ocaml_version
-    (Domain.recommended_domain_count ())
-    headline.s_hosts headline.s_run.g_events headline.s_run.g_wall
-    (float_of_int headline.s_run.g_events /. headline.s_run.g_wall)
-    headline.s_run.g_minor_pe headline.s_bytes_per_host headline.s_fib
-    (headline.s_fib_oracle /. headline.s_fib)
-    (match floor with Some f -> Printf.sprintf "%.1f" f | None -> "null")
-    (floor <> None)
-    (String.concat ",\n" (List.map row_json rows))
-    ls_leaves ls_spines ls_hpl ls_hosts ls_bph scale_bytes_budget;
-  close_out oc;
-  Printf.printf "%s: wrote %s\n%!" "perf(scale)" out
+  let seq = run sc and sent = leaves * hosts_per_leaf * cfg.packets_per_host in
+  if seq.delivered <> sent then
+    fail tag "leaf-spine delivered %d of %d pooled frames" seq.delivered sent;
+  ignore (sharded tag ~shards "leaf-spine" sc seq);
+  say tag "leaf-spine %dx%d (%d hosts) delivered all %d frames, %d-shard identical" leaves spines
+    (leaves * hosts_per_leaf) sent shards
 
 let scale_bench cfg =
-  let tag = if cfg.smoke then "perf(scale smoke)" else "perf(scale)" in
-  let shards =
-    if cfg.smoke then 2 else if cfg.shards > 0 then cfg.shards else 4
-  in
+  let tag = tag_of cfg "scale" and shards = gate_shards cfg in
   if cfg.smoke then begin
     (* CI variant: the k=8 route-equivalence and sharded-identity gates
        plus leaf-spine delivery, all at bounded size. No JSON, no
        machine-dependent perf gates. *)
     let cfg8 = { cfg with k = 8; packets_per_host = 100 } in
-    let row =
-      scale_row cfg8 ~tag ~shards ~measure_oracle:true ~timed:false
-    in
-    if row.s_fib_oracle /. row.s_fib < 2.0 then begin
-      Printf.eprintf "%s: FAIL — aggregation did not shrink the FIB (%.1f vs \
-                      %.1f entries/switch)\n"
-        tag row.s_fib row.s_fib_oracle;
-      exit 1
-    end;
+    ignore (scale_row cfg8 ~tag ~shards ~measure_oracle:true ~timed:false ~min_reduction:2.0);
     scale_leaf_spine_traffic { cfg8 with packets_per_host = 200 } ~tag ~shards;
-    Printf.printf
-      "%s: OK — aggregated FIBs identical to the /32 oracle (sequential and \
-       %d-shard), leaf-spine delivers\n%!"
-      tag shards
+    say tag "OK — aggregated FIBs identical to the /32 oracle (sequential and %d-shard), \
+             leaf-spine delivers" shards
   end
   else begin
-    (* k=16: the timed, gated row — oracle measured for real. *)
-    let row16 =
-      scale_row
-        { cfg with k = 16; packets_per_host = 400 }
-        ~tag ~shards ~measure_oracle:true ~timed:true
+    (* k=16: the timed, gated row — oracle measured for real. k=32: the
+       aggregated fabric builds and runs, the oracle census is the closed
+       form. *)
+    let r16, _, row16 =
+      scale_row { cfg with k = 16; packets_per_host = 400 } ~tag ~shards ~measure_oracle:true
+        ~timed:true ~min_reduction:0.0
     in
-    (* k=32: 8192 hosts. The aggregated fabric builds and runs; the
-       oracle trie (8192 x 1280 entries) is the thing aggregation
-       retires, so its census is the closed form. *)
-    let row32 =
-      scale_row
-        { cfg with k = 32; packets_per_host = 80 }
-        ~tag ~shards ~measure_oracle:false ~timed:false
+    let _, red32, row32 =
+      scale_row { cfg with k = 32; packets_per_host = 80 } ~tag ~shards ~measure_oracle:false
+        ~timed:false ~min_reduction:scale_fib_reduction_target
     in
-    let reduction = row32.s_fib_oracle /. row32.s_fib in
-    if reduction < scale_fib_reduction_target then begin
-      Printf.eprintf
-        "%s: FAIL — k=32 FIB shrank only %.1fx (%.2f vs %.1f entries/switch, \
-         target %.0fx)\n"
-        tag reduction row32.s_fib row32.s_fib_oracle scale_fib_reduction_target;
-      exit 1
-    end;
-    Printf.printf "%s: k=32 FIB reduction %.0fx (target %.0fx)\n%!" tag
-      reduction scale_fib_reduction_target;
-    (* Throughput floor from BENCH_6. *)
-    let floor = scale_floor () in
-    let rate16 = float_of_int row16.s_run.g_events /. row16.s_run.g_wall in
+    say tag "k=32 FIB reduction %.0fx (target %.0fx)" red32 scale_fib_reduction_target;
+    let floor = scale_floor () and rate16 = rate r16.events r16.wall in
     (match floor with
     | Some f ->
-      if rate16 < f then begin
-        Printf.eprintf
-          "%s: FAIL — k=16 runs at %.3e events/sec, below the BENCH_6 fabric \
-           rate %.3e\n"
-          tag rate16 f;
-        exit 1
-      end;
-      Printf.printf "%s: k=16 rate %.3e ev/s holds the BENCH_6 floor %.3e\n%!"
-        tag rate16 f
+      if rate16 < f then
+        fail tag "k=16 runs at %.3e events/sec, below the BENCH_6 fabric rate %.3e" rate16 f;
+      say tag "k=16 rate %.3e ev/s holds the BENCH_6 floor %.3e" rate16 f
     | None ->
-      Printf.printf
-        "%s: SKIPPED events/sec floor — no BENCH_6.json in the working \
-         directory (run --frames first)\n%!"
-        tag);
+      say tag "SKIPPED events/sec floor — no BENCH_6.json in the working directory (run --frames \
+               first)");
     (* Leaf-spine: forwarding sanity, then the 100k-host build budget. *)
-    scale_leaf_spine_traffic
-      { cfg with packets_per_host = 200 }
-      ~tag ~shards;
+    scale_leaf_spine_traffic { cfg with packets_per_host = 200 } ~tag ~shards;
     let leaves = 400 and spines = 8 and hosts_per_leaf = 250 in
-    let ls_hosts, ls_bph =
-      scale_leaf_spine_bytes ~leaves ~spines ~hosts_per_leaf
+    let ls_hosts = leaves * hosts_per_leaf in
+    let ls_bph =
+      float_of_int (scale_build_bytes (leaf_spine ~leaves ~spines ~hosts_per_leaf))
+      /. float_of_int ls_hosts
     in
-    Printf.printf
-      "%s: leaf-spine %dx%d, %d hosts: %.1f bytes/host (budget %.0f)\n%!" tag
-      leaves spines ls_hosts ls_bph scale_bytes_budget;
-    if ls_bph > scale_bytes_budget then begin
-      Printf.eprintf
-        "%s: FAIL — %d-host leaf-spine costs %.1f bytes/host (budget %.0f)\n"
-        tag ls_hosts ls_bph scale_bytes_budget;
-      exit 1
-    end;
-    Printf.printf
-      "%s: OK — aggregated FIBs oracle-identical (sequential and %d-shard), \
-       k=32 FIB %.0fx smaller, %d hosts at %.1f bytes each\n%!"
-      tag shards reduction ls_hosts ls_bph;
-    let out = match cfg.out with Some o -> o | None -> "BENCH_9.json" in
-    write_scale_json ~out ~rows:[ row16; row32 ] ~floor
-      ~ls:(leaves, spines, hosts_per_leaf, ls_hosts, ls_bph)
+    say tag "leaf-spine %dx%d, %d hosts: %.1f bytes/host (budget %.0f)" leaves spines ls_hosts
+      ls_bph scale_bytes_budget;
+    if ls_bph > scale_bytes_budget then
+      fail tag "%d-host leaf-spine costs %.1f bytes/host (budget %.0f)" ls_hosts ls_bph
+        scale_bytes_budget;
+    say tag "OK — aggregated FIBs oracle-identical (sequential and %d-shard), k=32 FIB %.0fx \
+             smaller, %d hosts at %.1f bytes each" shards red32 ls_hosts ls_bph;
+    write_json (out_path cfg 9)
+      (Obj (header ~bench:9
+              ~workload:"aggregated-FIB fat-trees (pooled plain UDP) + leaf-spine build memory"
+            @ [ ("hosts", int (hosts { cfg with k = 16 })) ]
+            @ run_keys ~drop:[ "packets_delivered"; "promoted_words_per_event" ] r16
+            @ List.filter (fun (k, _) ->
+                  List.mem k [ "bytes_per_host"; "fib_entries_per_switch"; "fib_reduction" ]) row16
+            @ [ ("events_per_sec_floor",
+                 Obj [ ("source", Str "BENCH_6.json");
+                       ("floor", Option.fold ~none:(Num "null") ~some:(fixed 1) floor);
+                       ("enforced", bool (floor <> None)) ]);
+                ("rows", Arr [ Obj row16; Obj row32 ]);
+                ("leaf_spine",
+                 Obj [ ("leaves", int leaves); ("spines", int spines);
+                       ("hosts_per_leaf", int hosts_per_leaf); ("hosts", int ls_hosts);
+                       ("bytes_per_host", fixed 1 ls_bph);
+                       ("budget_bytes_per_host", fixed 0 scale_bytes_budget) ]);
+                ("identical", bool true) ]))
   end
 
+(* ---- command line ------------------------------------------------------- *)
+
+let usage_error fmt = Printf.ksprintf (fun s -> Printf.eprintf "perf: %s\n%!" s; exit 2) fmt
+
 let () =
-  let cfg = ref default in
-  let rec parse = function
-    | [] -> ()
-    | "--perf" :: rest | "--" :: rest -> parse rest
-    | "--k" :: v :: rest ->
-      cfg := { !cfg with k = int_of_string v };
-      parse rest
-    | "--packets" :: v :: rest ->
-      cfg := { !cfg with packets_per_host = int_of_string v };
-      parse rest
-    | "--shards" :: v :: rest ->
-      let s = int_of_string v in
-      if s < 0 then begin
-        Printf.eprintf "perf: --shards expects a non-negative count\n";
-        exit 2
-      end;
-      cfg := { !cfg with shards = s };
-      parse rest
-    | "--smoke" :: rest ->
-      cfg := { !cfg with smoke = true };
-      parse rest
-    | "--tpp-heavy" :: rest ->
-      cfg := { !cfg with tpp_heavy = true };
-      parse rest
-    | "--chaos" :: rest ->
-      cfg := { !cfg with chaos = true };
-      parse rest
-    | "--engine" :: rest ->
-      cfg := { !cfg with engine = true };
-      parse rest
-    | "--frames" :: rest ->
-      cfg := { !cfg with frames = true };
-      parse rest
-    | "--telemetry" :: rest ->
-      cfg := { !cfg with telemetry = true };
-      parse rest
-    | "--transports" :: rest ->
-      cfg := { !cfg with transports = true };
-      parse rest
-    | "--scale" :: rest ->
-      cfg := { !cfg with scale = true };
-      parse rest
-    | "--out" :: v :: rest ->
-      cfg := { !cfg with out = Some v };
-      parse rest
-    | "--wire-check" :: v :: rest ->
-      let wc =
-        match v with
-        | "always" -> `Always
-        | "cached" -> `Cached
-        | "off" -> `Off
-        | _ ->
-          Printf.eprintf "perf: --wire-check expects always|cached|off\n";
-          exit 2
-      in
-      cfg := { !cfg with wire_check = wc };
-      parse rest
-    | a :: _ ->
-      Printf.eprintf "perf: unknown argument %S\n" a;
-      exit 2
+  let count flag v =
+    match int_of_string_opt v with
+    | Some n -> n
+    | None -> usage_error "%s expects an integer, got %S" flag v
   in
-  parse (List.tl (Array.to_list Sys.argv));
-  let cfg = !cfg in
-  if cfg.scale then scale_bench cfg
-  else if cfg.transports then transports_bench cfg
-  else if cfg.telemetry then telemetry_bench cfg
-  else if cfg.frames then frames_bench cfg
-  else if cfg.engine then engine_bench cfg
-  else if cfg.chaos then chaos cfg
-  else if cfg.tpp_heavy then tpp_heavy cfg
-  else if cfg.smoke then smoke cfg
-  else if cfg.shards > 0 then shards_bench cfg
-  else begin
-    let sent = cfg.k * cfg.k * cfg.k / 4 * cfg.packets_per_host in
-    Printf.printf "perf: %s\n%!" (workload_of cfg);
-    let r = run_sequential cfg in
-    Printf.printf
-      "perf: %d events, %d/%d packets delivered in %.3fs wall\n\
-       perf: %.3e events/sec, %.3e packets/sec\n\
-       perf: %.2f minor words/event, %.4f promoted words/event\n%!"
-      r.events r.delivered sent r.wall
-      (float_of_int r.events /. r.wall)
-      (float_of_int r.delivered /. r.wall)
-      r.minor_pe r.promoted_pe;
-    let out = match cfg.out with Some o -> o | None -> "BENCH_1.json" in
-    write_json cfg ~out r
-  end
+  let rec parse cfg = function
+    | [] -> cfg
+    | ("--perf" | "--") :: rest -> parse cfg rest
+    | "--k" :: v :: rest -> parse { cfg with k = count "--k" v } rest
+    | "--packets" :: v :: rest -> parse { cfg with packets_per_host = count "--packets" v } rest
+    | "--shards" :: v :: rest -> parse { cfg with shards = count "--shards" v } rest
+    | "--smoke" :: rest -> parse { cfg with smoke = true } rest
+    | "--out" :: v :: rest -> parse { cfg with out = Some v } rest
+    | "--wire-check" :: v :: rest -> (
+      match List.assoc_opt v wire_checks with
+      | Some wire_check -> parse { cfg with wire_check } rest
+      | None -> usage_error "--wire-check expects always|cached|off")
+    | flag :: rest when List.mem_assoc flag mode_flags ->
+      let mode = List.assoc flag mode_flags in
+      if cfg.mode <> Fabric && cfg.mode <> mode then
+        usage_error "%s and %s select different benchmarks: pass one"
+          (fst (List.find (fun (_, m) -> m = cfg.mode) mode_flags)) flag;
+      parse { cfg with mode } rest
+    | a :: _ -> usage_error "unknown argument %S" a
+  in
+  let cfg = parse default (List.tl (Array.to_list Sys.argv)) in
+  if cfg.k < 2 || cfg.k mod 2 <> 0 then
+    usage_error "--k expects an even fat-tree arity >= 2, got %d" cfg.k;
+  if cfg.packets_per_host < 0 then
+    usage_error "--packets expects a non-negative count, got %d" cfg.packets_per_host;
+  if cfg.shards < 0 then usage_error "--shards expects a non-negative count";
+  match cfg.mode with
+  | Scale -> scale_bench cfg
+  | Transports -> transports_bench cfg
+  | Telemetry -> telemetry_bench cfg
+  | Frames -> frames_bench cfg
+  | Engine -> engine_bench cfg
+  | Chaos -> chaos_bench cfg
+  | Tpp_heavy -> tpp_heavy cfg
+  | Fabric ->
+    if cfg.smoke then smoke cfg else if cfg.shards > 0 then shards_bench cfg else rate_bench cfg

@@ -46,23 +46,10 @@ type wire_check = [ `Always | `Cached | `Off ]
       steady-state fast path for throughput runs.
     - [`Off]: no checking. *)
 
-type event_mode = [ `Typed | `Closure ]
-(** How the dataplane schedules its own events:
-    - [`Typed] (the default): deliveries, port dequeues and fault
-      restarts go through {!Engine}'s flattened event slab and are
-      dispatched via the net's single handlers record — zero minor
-      allocations per steady-state event.
-    - [`Closure]: the same events at the same timestamps, each as a
-      captured closure — the pre-slab allocation profile, kept as the
-      measurable baseline for [bench/perf.exe --engine].
-
-    The event sequence is bit-identical between modes. *)
-
 val create :
   ?nodes:int ->
   ?ports:int ->
   ?wire_check:wire_check ->
-  ?event_mode:event_mode ->
   Engine.t ->
   t
 (** [?nodes]/[?ports] are capacity hints: a builder that knows the final
@@ -71,8 +58,6 @@ val create :
     the amortised-doubling slack would otherwise cost a million-host
     fabric up to 2x its steady-state footprint. Registering past a hint
     is fine; growth just resumes doubling. *)
-
-val event_mode : t -> event_mode
 
 val engine : t -> Engine.t
 
@@ -162,6 +147,16 @@ val enable_trimming : t -> keep:int -> data_limit:int -> ctrl_limit:int -> unit
 
 val frames_delivered : t -> int
 (** Frames handed to host receive callbacks so far. *)
+
+val fingerprint : owns:(int -> bool) -> t -> (int * int list) list
+(** Register fingerprint of every switch whose node id satisfies
+    [owns], ascending by node id: [(id, registers)] where [registers]
+    lists packets/bytes seen, drops, TPP execs/faults/cycles, an SRAM
+    hash, then each materialized port's rx/tx bytes and packets, drops,
+    offered and queued bytes. Compile-cache hit/miss counters are left
+    out because they vary with the shard layout. The determinism checks
+    compare a sequential run's fingerprint with the sorted concatenation
+    of every shard's [fingerprint ~owns]. *)
 
 (** {2 Sharding hooks}
 

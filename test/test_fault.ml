@@ -305,7 +305,7 @@ let test_chaos_matches_sequential () =
   let seq_events = Engine.events_processed eng in
   let seq_delivered = Net.frames_delivered net in
   let seq_drops = Test_parsim.total_drops ~owns:(fun _ -> true) net in
-  let seq_fp = Test_parsim.net_fp ~owns:(fun _ -> true) net in
+  let seq_fp = Net.fingerprint ~owns:(fun _ -> true) net in
   let seq_faults = Fault.stats fault in
   check Alcotest.bool "chaos actually lost frames" true
     (seq_faults.Fault.lost_down > 0
@@ -323,7 +323,7 @@ let test_chaos_matches_sequential () =
             traffic ~owns net)
           ~collect:(fun ~shard ~owns net ->
             ( Test_parsim.total_drops ~owns net,
-              Test_parsim.net_fp ~owns net,
+              Net.fingerprint ~owns net,
               Fault.stats (Option.get faults.(shard)) ))
           ()
       in

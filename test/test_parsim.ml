@@ -36,32 +36,9 @@ let blast ~packets ~gap_ns ~payload_bytes ~owns net =
       done
   done
 
-(* --- switch register fingerprints ----------------------------------- *)
+(* --- switch register totals ------------------------------------------ *)
 
 module SS = Switch_state
-
-let sram_hash (st : SS.t) =
-  Array.fold_left (fun acc w -> (acc * 1_000_003) + w) 0 st.SS.sram
-
-let port_fp (p : SS.Port.t) =
-  [
-    p.SS.Port.rx_bytes; p.rx_pkts; p.tx_bytes; p.tx_pkts; p.drops;
-    p.offered_bytes; p.queue_bytes;
-  ]
-
-let switch_fp id sw =
-  let st = Switch.state sw in
-  ( id,
-    [
-      st.SS.packets_seen; st.SS.bytes_seen; st.SS.drops; st.SS.tpp_execs;
-      st.SS.tpp_faults; st.SS.tpp_cycles; sram_hash st;
-    ]
-    @ List.concat_map port_fp (Array.to_list st.SS.ports) )
-
-let net_fp ~owns net =
-  Net.switches net
-  |> List.filter (fun (id, _) -> owns id)
-  |> List.map (fun (id, sw) -> switch_fp id sw)
 
 let total_drops ~owns net =
   Net.switches net
@@ -77,14 +54,14 @@ let run_sequential ~build ~traffic ~until =
   ( Engine.events_processed eng,
     Net.frames_delivered net,
     total_drops ~owns:(fun _ -> true) net,
-    net_fp ~owns:(fun _ -> true) net )
+    Net.fingerprint ~owns:(fun _ -> true) net )
 
 let run_sharded ~shards ~build ~traffic ~until =
   let stats, fps =
     Parsim.run ~shards ~until ~build
       ~setup:(fun ~shard:_ ~owns net -> traffic ~owns net)
       ~collect:(fun ~shard:_ ~owns net ->
-        (total_drops ~owns net, net_fp ~owns net))
+        (total_drops ~owns net, Net.fingerprint ~owns net))
       ()
   in
   let drops = Array.fold_left (fun a (d, _) -> a + d) 0 fps in

@@ -86,22 +86,20 @@ let test_engine_run_until_is_exclusive_of_later_events () =
   check Alcotest.bool "then fires" true !fired
 
 (* An event at max_int must be a real event, not an empty-queue
-   sentinel: the run loop tests emptiness explicitly. Both schedulers. *)
+   sentinel: the run loop tests emptiness explicitly. max_int lies past
+   the wheel's horizon, so this also covers its overflow heap. *)
 let test_engine_max_int_event () =
-  List.iter
-    (fun scheduler ->
-      let eng = Engine.create ~scheduler () in
-      let fired = ref false in
-      Engine.at eng max_int (fun () -> fired := true);
-      Engine.run eng ~until:(max_int - 1);
-      check Alcotest.bool "not an empty-queue sentinel" false !fired;
-      check
-        (Alcotest.option Alcotest.int)
-        "still queued" (Some max_int)
-        (Engine.next_event_time eng);
-      Engine.run eng ~until:max_int;
-      check Alcotest.bool "fires at the end of time" true !fired)
-    [ `Wheel; `Heap ]
+  let eng = Engine.create () in
+  let fired = ref false in
+  Engine.at eng max_int (fun () -> fired := true);
+  Engine.run eng ~until:(max_int - 1);
+  check Alcotest.bool "not an empty-queue sentinel" false !fired;
+  check
+    (Alcotest.option Alcotest.int)
+    "still queued" (Some max_int)
+    (Engine.next_event_time eng);
+  Engine.run eng ~until:max_int;
+  check Alcotest.bool "fires at the end of time" true !fired
 
 (* Typed events round-trip through the slab: payload ints and the frame
    come back through the handlers record. Same-timestamp events fire in
@@ -130,7 +128,7 @@ let test_engine_typed_dispatch () =
   Engine.deliver_at eng 10 h ~node:4 ~port:0 frame;
   Engine.at eng 10 (fun () -> log := ("thunk", 0, 0, 0) :: !log);
   Engine.restart_at eng 20 h ~node:9;
-  Engine.schedule eng ~at:30 h (Engine.Port_dequeue (5, 2));
+  Engine.dequeue_at eng 30 h ~node:5 ~port:2;
   Engine.run eng ~until:100;
   check
     (Alcotest.list
@@ -197,52 +195,6 @@ let test_fifo_no_reordering () =
   check (Alcotest.list Alcotest.int) "in order" (List.init 50 (fun i -> i + 1))
     (List.rev !seen);
   check Alcotest.int "all delivered" 50 (Net.frames_delivered net)
-
-(* The same traffic must produce a bit-identical simulation whatever
-   the scheduler (wheel vs heap oracle) and event representation (typed
-   slab vs closures): same arrival timestamps, same delivery and event
-   counts. 50 frames through a store-and-forward switch give plenty of
-   same-timestamp ties to disagree on. *)
-let test_scheduler_and_event_mode_identity () =
-  let run ~scheduler ~event_mode =
-    let eng = Engine.create ~scheduler () in
-    let net = Net.create ~event_mode eng in
-    let sw = Switch.create ~id:1 ~num_ports:2 () in
-    let sw_id = Net.add_switch net sw in
-    let a = Net.add_host net ~name:"a" in
-    let b = Net.add_host net ~name:"b" in
-    Net.connect net (a.Net.node_id, 0) (sw_id, 0) ~bps:100_000_000
-      ~delay:(Time_ns.ms 1);
-    Net.connect net (b.Net.node_id, 0) (sw_id, 1) ~bps:100_000_000
-      ~delay:(Time_ns.ms 1);
-    Topology.install_routes net;
-    let arrivals = ref [] in
-    b.Net.receive <- (fun ~now _ -> arrivals := now :: !arrivals);
-    for i = 1 to 50 do
-      let payload = Bytes.create (60 + (i mod 7)) in
-      let frame =
-        Frame.udp_frame ~src_mac:a.Net.mac ~dst_mac:b.Net.mac ~src_ip:a.Net.ip
-          ~dst_ip:b.Net.ip ~src_port:1 ~dst_port:2 ~payload ()
-      in
-      Net.host_send net a frame
-    done;
-    Engine.run eng ~until:(Time_ns.sec 1);
-    (List.rev !arrivals, Net.frames_delivered net, Engine.events_processed eng)
-  in
-  let reference = run ~scheduler:`Heap ~event_mode:`Closure in
-  List.iter
-    (fun (scheduler, event_mode, label) ->
-      let got = run ~scheduler ~event_mode in
-      check
-        (Alcotest.triple
-           (Alcotest.list Alcotest.int)
-           Alcotest.int Alcotest.int)
-        label reference got)
-    [
-      (`Wheel, `Typed, "wheel+typed == heap+closure");
-      (`Heap, `Typed, "heap+typed == heap+closure");
-      (`Wheel, `Closure, "wheel+closure == heap+closure");
-    ]
 
 let test_wire_check_exercised () =
   (* host_send serialises and reparses; a frame that round-trips fine
@@ -583,8 +535,6 @@ let suite =
     Alcotest.test_case "engine next event time" `Quick test_engine_next_event_time;
     Alcotest.test_case "engine max_int event" `Quick test_engine_max_int_event;
     Alcotest.test_case "engine typed dispatch" `Quick test_engine_typed_dispatch;
-    Alcotest.test_case "scheduler and event-mode identity" `Quick
-      test_scheduler_and_event_mode_identity;
     Alcotest.test_case "engine until boundary" `Quick
       test_engine_run_until_is_exclusive_of_later_events;
     Alcotest.test_case "delivery and latency" `Quick test_delivery_and_latency;

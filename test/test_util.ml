@@ -361,21 +361,24 @@ let test_wheel_backdated_ties () =
     [ (max_int, 5); (max_int, 4) ]
     (drain_wheel w)
 
-(* Same differential property as above, with the pushes stamped — some
-   backdated — exercising the wheel's slot-scan tie-break path against
-   the stable heap's. *)
+(* Same differential property as above, through the exact call the
+   engine makes: [push_keyed] with a random emission stamp (some
+   backdated) and a random tie key, exercising the wheel's slot-scan
+   (prio, emitted, tie, seq) order against the stable heap's. This is
+   the oracle behind the engine's wheel: fabric-level runs need no heap
+   mode of their own. *)
 let prop_wheel_matches_heap_backdated =
   QCheck.Test.make
     ~name:"wheel pops identically to the heap under backdated stamps"
     ~count:300
-    QCheck.(list (pair (int_range (-1) 60) (int_range 0 15)))
+    QCheck.(list (triple (int_range (-1) 60) (int_range 0 15) (int_range 0 3)))
     (fun ops ->
       let w = Wheel.create () in
       let h = Tpp_util.Heap.create () in
       let now = ref 0 in
       let seq = ref 0 in
       List.for_all
-        (fun (op, emitted) ->
+        (fun (op, emitted, tie) ->
           if op < 0 then begin
             let a = Wheel.pop w and b = Tpp_util.Heap.pop h in
             (match a with Some (p, _) -> now := max !now p | None -> ());
@@ -393,8 +396,8 @@ let prop_wheel_matches_heap_backdated =
               if offset > max_int - !now then max_int else !now + offset
             in
             incr seq;
-            Wheel.push w ~emitted ~prio !seq;
-            Tpp_util.Heap.push h ~emitted ~prio !seq;
+            Wheel.push_keyed w ~emitted ~tie ~prio !seq;
+            Tpp_util.Heap.push_keyed h ~emitted ~tie ~prio !seq;
             Wheel.length w = Tpp_util.Heap.length h
           end)
         ops
